@@ -155,10 +155,8 @@ def cmd_eval(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "metrics.csv"), "w") as f:
             f.write(evalharness.report_csv(report))
-        preds = [pipeline.track(mp, seq, cfg) for seq in seqs]
-        gts = [s.gt for s in seqs]
-        all_preds = [b for p in preds for b in p]
-        all_gts = [b for g in gts for b in g]
+        all_preds = [b for p in report.predictions for b in p]
+        all_gts = [b for s in seqs for b in s.gt]
         with open(os.path.join(args.out, "success.csv"), "w") as f:
             f.write(evalharness.curve_csv(
                 evalharness.success_curve(all_preds, all_gts), "threshold", "rate"))

@@ -17,7 +17,7 @@ scores exactly 1.0; set ``inclusive=False`` for the strict convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +97,7 @@ class SequenceMetrics:
 @dataclass
 class MetricReport:
     per_sequence: list[SequenceMetrics]
+    predictions: list[list[Box]] = field(default_factory=list)  # tracked boxes per sequence
 
     def aggregate(self) -> dict[str, float]:
         out = {}
@@ -113,6 +114,7 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
     """Ground-truth-anchored scoring diagnostics for one sequence."""
     grid = pipeline.head_grid(cfg)
     px, py = grid.pixel_xy()
+    template = synthdata.crop_template(seq, cfg.template_size)
     consistent, margins, taus = [], [], []
 
     for t in range(len(seq)):
@@ -120,7 +122,7 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         if cfg.eval_jitter > 0:
             cx += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
             cy += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
-        template, search, gt_s, tf = synthdata.crop_pair(
+        search, gt_s, tf = synthdata.crop_search(
             seq, t, cfg.template_size, cfg.search_size, search_center=(cx, cy))
         a_cls, a_loc = pipeline.forward(mp, template, search)
         probs = nm.softmax(a_cls, axis=0).data[1]
@@ -161,11 +163,16 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
 def evaluate(mp: pipeline.ModelParams, seqs: list[synthdata.Sequence],
              cfg: pipeline.TrainConfig, names: list[str] | None = None,
              ) -> MetricReport:
-    """Track plus score every sequence; deterministic given cfg.eval_seed."""
+    """Track plus score every sequence; deterministic given cfg.eval_seed.
+
+    The report keeps the tracked boxes of every sequence in
+    ``predictions``, so callers that need curves do not track again.
+    """
     jitter_master = SplitMix64(cfg.eval_seed).spawn(pipeline._DOM_JITTER)
-    per_seq = []
+    per_seq, predictions = [], []
     for i, seq in enumerate(seqs):
         preds = pipeline.track(mp, seq, cfg)
+        predictions.append(preds)
         cons, margin, tau = _scoring_pass(mp, seq, cfg, jitter_master.spawn(i))
         per_seq.append(SequenceMetrics(
             name=names[i] if names else f"seq{i:03d}",
@@ -175,7 +182,7 @@ def evaluate(mp: pipeline.ModelParams, seqs: list[synthdata.Sequence],
             distractor_margin=margin,
             kendall_tau=tau,
         ))
-    return MetricReport(per_sequence=per_seq)
+    return MetricReport(per_sequence=per_seq, predictions=predictions)
 
 
 # -- CSV emission -------------------------------------------------------------------

@@ -14,9 +14,10 @@ and raises :class:`NonFiniteError` instead of propagating NaN/Inf.
 Recording model: an op output keeps references to its parent tensors
 plus a closure that maps the output gradient to parent gradients;
 ``backward`` walks that record once per node in reverse topological
-order and accumulates into ``grad`` buffers. The recorded graph belongs
-to the thread that built it; tensors themselves are plain values and
-safe to hand between threads.
+order and accumulates into the ``grad`` buffers of the leaves; recorded
+intermediate nodes pass their gradient on and keep ``grad`` None. The
+recorded graph belongs to the thread that built it; tensors themselves
+are plain values and safe to hand between threads.
 """
 
 from __future__ import annotations
@@ -69,7 +70,9 @@ class Tensor:
 
     ``grad`` is allocated (zeros) for tensors created with
     ``requires_grad=True`` and is populated/accumulated by ``backward``.
-    Repeated backward calls accumulate; use ``zero_grad`` to reset.
+    Only such leaves receive gradients: outputs of recorded ops keep
+    ``grad`` None. Repeated backward calls accumulate; use ``zero_grad``
+    to reset.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
@@ -509,7 +512,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
+    """Accumulate d(loss)/d(leaf) into every requires_grad leaf; recorded
+    intermediate nodes are not given a ``grad``.
 
     Each recorded node is visited exactly once, in reverse topological
     order, so shared subexpressions contribute exactly once.
@@ -527,11 +531,8 @@ def backward(loss: Tensor) -> None:
         flow = flows.pop(id(node), None)
         if flow is None:
             continue
-        if node.grad is None:
-            node.grad = flow.copy()
-        else:
-            node.grad = node.grad + flow
         if node._backward_fn is None:
+            node.grad = flow.copy() if node.grad is None else node.grad + flow
             continue
         grads = node._backward_fn(flow)
         for parent, g in zip(node._parents, grads):

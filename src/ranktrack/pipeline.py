@@ -387,6 +387,7 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
     mp = init_params(cfg, init_rng)
     grid = head_grid(cfg)
 
+    templates = [synthdata.crop_template(seq, cfg.template_size) for seq in pool]
     velocity = {name: np.zeros_like(t.data) for name, t in mp.leaves()}
     log: list[LogRow] = []
     last_row: LogRow | None = None
@@ -398,16 +399,17 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
         attempts = 0
         while len(parts) < cfg.batch_size and attempts < 10 * cfg.batch_size:
             attempts += 1
-            seq = pool[sampler.randint(len(pool))]
+            k = sampler.randint(len(pool))
+            seq = pool[k]
             idx = sampler.randint(len(seq))
             cx, cy = seq.gt[idx].center
             if cfg.shift_aug > 0:
                 cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
                 cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-            template, search, gt_s, _ = synthdata.crop_pair(
+            search, gt_s, _ = synthdata.crop_search(
                 seq, idx, cfg.template_size, cfg.search_size, search_center=(cx, cy))
             try:
-                result = image_loss(cfg, mp, template, search, gt_s, grid,
+                result = image_loss(cfg, mp, templates[k], search, gt_s, grid,
                                     enable_rank=enable_rank, rng=sampler)
             except nm.NonFiniteError as e:
                 raise DivergenceError(f"non-finite loss at iteration {it}: {e}",

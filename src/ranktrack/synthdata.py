@@ -16,6 +16,7 @@ to keep boxes inside the image.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -73,10 +74,9 @@ class Sequence:
         return len(self.frames)
 
 
-def _shape_mask(shape: str, h: int, w: int, box: Box) -> np.ndarray:
-    """Boolean raster of a filled shape inscribed in ``box`` (pixel centers)."""
-    ys = np.arange(h) + 0.5
-    xs = np.arange(w) + 0.5
+def _shape_mask(shape: str, ys: np.ndarray, xs: np.ndarray, box: Box) -> np.ndarray:
+    """Boolean raster of a filled shape inscribed in ``box``, sampled at the
+    pixel-center rows ``ys`` and columns ``xs``."""
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
     if shape == "rect":
         return (xx >= box.x1) & (xx <= box.x2) & (yy >= box.y1) & (yy <= box.y2)
@@ -94,17 +94,26 @@ def _shape_mask(shape: str, h: int, w: int, box: Box) -> np.ndarray:
     raise ValueError(f"unknown shape family: {shape}")
 
 
+def _shape_window(box: Box, h: int, w: int) -> tuple[slice, slice]:
+    """Rows and columns of an h x w frame that can hold a pixel center of a
+    shape inscribed in ``box``: its bounding pixels plus a 1 px margin,
+    which covers rounding in the ellipse and triangle tests."""
+    def span(lo: float, hi: float, n: int) -> slice:
+        return slice(min(max(math.floor(lo) - 1, 0), n), min(max(math.ceil(hi) + 1, 0), n))
+    return span(box.y1, box.y2, h), span(box.x1, box.x2, w)
+
+
 def _paint(img: np.ndarray, shape: str, box: Box, color: np.ndarray,
            noise: SplitMix64, noise_sigma: float) -> None:
-    mask = _shape_mask(shape, img.shape[1], img.shape[2], box)
+    rows, cols = _shape_window(box, img.shape[1], img.shape[2])
+    mask = _shape_mask(shape, np.arange(rows.start, rows.stop) + 0.5,
+                       np.arange(cols.start, cols.stop) + 0.5, box)
     count = int(mask.sum())
     if count == 0:
         return
     for ch in range(3):
-        vals = np.fromiter((noise.normal(color[ch], noise_sigma) for _ in range(count)),
-                           dtype=np.float64, count=count)
-        plane = img[ch]
-        plane[mask] = np.clip(vals, 0.0, 1.0)
+        vals = noise.normals(color[ch], noise_sigma, count)
+        img[ch, rows, cols][mask] = np.clip(vals, 0.0, 1.0)
 
 
 def _walk(rng: SplitMix64, start: tuple[float, float], frames: int, sigma: float,
@@ -291,6 +300,24 @@ def crop_template(seq: Sequence, template_size: int = 64) -> np.ndarray:
     return crop_window(seq.frames[0], cx, cy, context_side(gt0), template_size)
 
 
+def crop_search(seq: Sequence, index: int, template_size: int = 64,
+                search_size: int = 128, search_center: tuple[float, float] | None = None,
+                ) -> tuple[np.ndarray, Box, CropTransform]:
+    """Search crop of frame ``index`` for ``crop_pair``, without the template.
+
+    Returns the raster, the ground truth mapped into search coordinates,
+    and the search transform.
+    """
+    if not (0 <= index < len(seq)):
+        raise IndexError("frame index out of range")
+    gt = seq.gt[index]
+    s_side = context_side(seq.gt[0]) * (search_size / template_size)
+    s_cx, s_cy = search_center if search_center is not None else gt.center
+    search = crop_window(seq.frames[index], s_cx, s_cy, s_side, search_size)
+    tf = CropTransform(cx=s_cx, cy=s_cy, side=s_side, out_size=search_size)
+    return search, tf.to_crop(gt), tf
+
+
 def crop_pair(seq: Sequence, index: int, template_size: int = 64,
               search_size: int = 128, search_center: tuple[float, float] | None = None,
               ) -> tuple[np.ndarray, np.ndarray, Box, CropTransform]:
@@ -301,18 +328,12 @@ def crop_pair(seq: Sequence, index: int, template_size: int = 64,
     search_size/template_size, centered on the current target unless
     ``search_center`` overrides it (training jitter). Returns
     the two rasters, the ground truth mapped into search coordinates,
-    and the search transform.
+    and the search transform. The template depends only on the sequence,
+    so callers that crop many frames of one sequence take it once from
+    ``crop_template`` and the rest from ``crop_search``.
     """
-    if not (0 <= index < len(seq)):
-        raise IndexError("frame index out of range")
-    template = crop_template(seq, template_size)
-
-    gt = seq.gt[index]
-    s_side = context_side(seq.gt[0]) * (search_size / template_size)
-    s_cx, s_cy = search_center if search_center is not None else gt.center
-    search = crop_window(seq.frames[index], s_cx, s_cy, s_side, search_size)
-    tf = CropTransform(cx=s_cx, cy=s_cy, side=s_side, out_size=search_size)
-    return template, search, tf.to_crop(gt), tf
+    search, gt_s, tf = crop_search(seq, index, template_size, search_size, search_center)
+    return crop_template(seq, template_size), search, gt_s, tf
 
 
 # -- export / import -----------------------------------------------------------

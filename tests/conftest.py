@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ranktrack import pipeline
+from ranktrack import configio, pipeline
+from ranktrack.rng import SplitMix64
 
 
 def quick_config(**overrides) -> pipeline.TrainConfig:
@@ -24,6 +25,17 @@ def quick_config(**overrides) -> pipeline.TrainConfig:
     cfg = pipeline.TrainConfig(**base)
     cfg.validate()
     return cfg
+
+
+def eval_argv(tmp_path, cfg: pipeline.TrainConfig, init_seed: int = 5) -> list[str]:
+    """`ranktrack eval` arguments for cfg's eval pool with a seeded untrained
+    checkpoint, writing into tmp_path/out."""
+    cfg_path = tmp_path / "eval.cfg"
+    cfg_path.write_text(configio.format_kv(cfg.to_kv()))
+    ckpt = tmp_path / "init.bin"
+    pipeline.save_checkpoint(pipeline.init_params(cfg, SplitMix64(init_seed)), str(ckpt))
+    return ["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
+            "--out", str(tmp_path / "out")]
 
 
 @pytest.fixture(scope="session")

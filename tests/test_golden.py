@@ -11,11 +11,10 @@ import hashlib
 
 import pytest
 
-from ranktrack import cli, configio, pipeline
-from ranktrack.rng import SplitMix64
+from ranktrack import cli, pipeline
 from ranktrack.synthdata import SHAPE_FAMILIES, SequenceSpec, gen_sequence
 
-from conftest import quick_config
+from conftest import eval_argv, quick_config
 
 SEQUENCE_GOLDENS = {
     ("rect", 0.05):
@@ -63,16 +62,9 @@ def test_gen_sequence_golden(shape, noise_sigma):
 
 
 def eval_file_digests(tmp_path) -> dict[str, str]:
-    cfg = quick_config(eval_sequences=3, eval_frames=5)
-    cfg_path = tmp_path / "eval.cfg"
-    cfg_path.write_text(configio.format_kv(cfg.to_kv()))
-    ckpt = tmp_path / "init.bin"
-    pipeline.save_checkpoint(pipeline.init_params(cfg, SplitMix64(5)), str(ckpt))
-    out = tmp_path / "out"
-    code = cli.main(["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
-                     "--out", str(out)])
-    assert code == cli.EXIT_OK
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+    argv = eval_argv(tmp_path, quick_config(eval_sequences=3, eval_frames=5))
+    assert cli.main(argv) == cli.EXIT_OK
+    return {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
             for name in EVAL_GOLDENS}
 
 
@@ -95,15 +87,3 @@ def train_digest(arm: str) -> str:
 def test_train_golden(arm):
     assert train_digest(arm) == TRAIN_GOLDENS[arm]
 
-
-if __name__ == "__main__":
-    # Prints the current digests; only for recording new goldens after a
-    # deliberate, documented change of behaviour.
-    import tempfile
-    from pathlib import Path
-    for key in SEQUENCE_GOLDENS:
-        print(key, sequence_digest(*key))
-    with tempfile.TemporaryDirectory() as d:
-        print(eval_file_digests(Path(d)))
-    for arm in TRAIN_GOLDENS:
-        print(arm, train_digest(arm))

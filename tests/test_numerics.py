@@ -124,6 +124,14 @@ class TestBackward:
         backward(nm.add(nm.sum_(nm.mul(x2, x2)), nm.sum_(nm.exp(x2))))
         np.testing.assert_array_equal(x2.grad, g_a + g_b)
 
+    def test_only_leaves_receive_gradients(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        h = nm.exp(nm.mul(x, 2.0))
+        s = nm.sum_(h)
+        backward(nm.mul(s, s))
+        assert h.grad is None and s.grad is None
+        np.testing.assert_allclose(x.grad, 4.0 * s.data * h.data, rtol=1e-15)
+
     def test_non_scalar_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):

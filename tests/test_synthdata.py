@@ -8,8 +8,13 @@ from ranktrack.synthdata import (
     CropTransform,
     Sequence,
     SequenceSpec,
+    SHAPE_FAMILIES,
+    _shape_mask,
+    _shape_window,
     context_side,
     crop_pair,
+    crop_search,
+    crop_template,
     crop_window,
     export_sequence,
     gen_sequence,
@@ -92,6 +97,41 @@ class TestGenSequence:
             gen_sequence(SequenceSpec(shape="hexagon"))
 
 
+def windowed_mask(shape: str, h: int, w: int, box: Box) -> np.ndarray:
+    rows, cols = _shape_window(box, h, w)
+    full = np.zeros((h, w), dtype=bool)
+    full[rows, cols] = _shape_mask(shape, np.arange(rows.start, rows.stop) + 0.5,
+                                   np.arange(cols.start, cols.stop) + 0.5, box)
+    return full
+
+
+class TestShapeWindow:
+    H, W = 40, 48
+
+    def boxes(self):
+        rng = np.random.default_rng(2024)
+        out = []
+        for _ in range(150):  # anywhere, partly or wholly off-frame
+            x1, y1 = rng.uniform(-30, 60), rng.uniform(-30, 50)
+            out.append(Box(x1, y1, x1 + rng.uniform(0, 30), y1 + rng.uniform(0, 30)))
+        for _ in range(100):  # sub-pixel extents, including zero
+            x1, y1 = rng.uniform(-2, 50), rng.uniform(-2, 42)
+            out.append(Box(x1, y1, x1 + rng.choice([0.0, rng.uniform(0, 1.5)]),
+                           y1 + rng.choice([0.0, rng.uniform(0, 1.5)])))
+        for _ in range(100):  # edges on pixel centers and pixel borders
+            x1, y1 = rng.integers(-4, 50) / 2, rng.integers(-4, 42) / 2
+            out.append(Box(x1, y1, x1 + rng.integers(0, 40) / 2, y1 + rng.integers(0, 40) / 2))
+        return out
+
+    @pytest.mark.parametrize("shape", SHAPE_FAMILIES)
+    def test_window_equals_full_frame(self, shape):
+        ys, xs = np.arange(self.H) + 0.5, np.arange(self.W) + 0.5
+        for box in self.boxes():
+            full = _shape_mask(shape, ys, xs, box)
+            np.testing.assert_array_equal(windowed_mask(shape, self.H, self.W, box), full,
+                                          err_msg=f"{shape} {box}")
+
+
 class TestCropPair:
     def test_centered_target_maps_to_search_center(self):
         seq = gen_sequence(SequenceSpec(seed=9, frames=3, motion_sigma=0.0))
@@ -128,6 +168,16 @@ class TestCropPair:
         seq = gen_sequence(SequenceSpec(seed=12, frames=2))
         with pytest.raises(IndexError):
             crop_pair(seq, 5)
+        with pytest.raises(IndexError):
+            crop_search(seq, -1)
+
+    def test_pair_is_template_plus_search(self):
+        seq = gen_sequence(SequenceSpec(seed=14, frames=3))
+        template, search, gt_s, tf = crop_pair(seq, 2, 48, 96, search_center=(70.3, 81.9))
+        s2, gt2, tf2 = crop_search(seq, 2, 48, 96, search_center=(70.3, 81.9))
+        assert template.tobytes() == crop_template(seq, 48).tobytes()
+        assert search.tobytes() == s2.tobytes()
+        assert (gt_s, tf) == (gt2, tf2)
 
     def test_shapes(self):
         seq = gen_sequence(SequenceSpec(seed=13, frames=1))
