@@ -44,7 +44,9 @@ def dw_corr(fz: Tensor, fx: Tensor) -> Tensor:
     out = np.einsum("cuvij,cij->cuv", windows, fz.data, optimize=True)
 
     def bw(g):
-        gz = np.einsum("cuvij,cuv->cij", windows, g, optimize=True)
+        gz = np.einsum("cuvij,cuv->cij", windows, g, optimize=True) if fz.requires_grad else None
+        if not fx.requires_grad:
+            return gz, None
         gx = np.zeros_like(fx.data)
         for i in range(hz):
             for j in range(wz):

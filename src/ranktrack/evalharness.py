@@ -114,7 +114,7 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
     """Ground-truth-anchored scoring diagnostics for one sequence."""
     grid = pipeline.head_grid(cfg)
     px, py = grid.pixel_xy()
-    template = synthdata.crop_template(seq, cfg.template_size)
+    template = pipeline.embed_template(mp, synthdata.crop_template(seq, cfg.template_size))
     consistent, margins, taus = [], [], []
 
     for t in range(len(seq)):

@@ -15,7 +15,9 @@ Recording model: an op output keeps references to its parent tensors
 plus a closure that maps the output gradient to parent gradients;
 ``backward`` walks that record once per node in reverse topological
 order and accumulates into the ``grad`` buffers of the leaves; recorded
-intermediate nodes pass their gradient on and keep ``grad`` None. The
+intermediate nodes pass their gradient on and keep ``grad`` None. A
+closure computes gradients only for the parents that require them and
+returns None for the others (a raster input, a constant factor). The
 recorded graph belongs to the thread that built it; tensors themselves
 are plain values and safe to hand between threads.
 """
@@ -61,7 +63,7 @@ class NonFiniteError(ArithmeticError):
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced a non-finite value")
 
 
@@ -197,7 +199,8 @@ def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _from_op(a.data + b.data, (a, b), bw, "add")
 
@@ -206,7 +209,8 @@ def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
 
     return _from_op(a.data * b.data, (a, b), bw, "mul")
 
@@ -309,13 +313,67 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
 
     def bw(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _from_op(a.data @ b.data, (a, b), bw, "matmul")
 
 
+def _kernel_rows(a: np.ndarray, kw: int) -> np.ndarray:
+    """View each run of ``kw`` adjacent float64 values on the last axis as
+    one opaque element, so a layout shuffle moves whole kernel rows as raw
+    bytes instead of iterating over an inner axis of length ``kw``."""
+    return a.view(np.dtype((np.void, a.itemsize * kw)))
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """C-contiguous (OH*OW, C*Kh*Kw) patch matrix of a CHW array: rows in
+    output raster order, columns in (channel, kernel row, kernel column)
+    order. When the windows tile the input (``stride == kh == kw``) it is
+    a reshape of the input."""
+    c, h, w = x.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    if stride == kh == kw:
+        rows = _kernel_rows(np.ascontiguousarray(x)[:, :oh * kh, :ow * kw], kw)
+        cols = rows.reshape(c, oh, kh, ow).transpose(1, 3, 0, 2).reshape(oh * ow, c * kh)
+        return cols.view(np.float64)
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    win = win[:, ::stride, ::stride]                       # (C, OH, OW, Kh, Kw)
+    return win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
+
+
+def _col2im(gcols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int,
+            stride: int) -> np.ndarray:
+    """Adjoint of ``_im2col``: add every patch-matrix entry into a zero
+    array at the input position it was read from, kernel offset by kernel
+    offset. Tiling windows touch each position at most once, so one ``+=``
+    does it; it still adds to 0.0, which turns a -0.0 into +0.0 as the
+    loop does. Positions no window covers keep 0.0."""
+    c, h, w = shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    gx = np.zeros(shape)
+    if stride == kh == kw:
+        rows = _kernel_rows(np.ascontiguousarray(gcols), kw).reshape(oh, ow, c, kh)
+        rows = rows.transpose(2, 0, 3, 1).reshape(c, oh * kh, ow).view(np.float64)
+        gx[:, :oh * kh, :ow * kw] += rows
+        return gx
+    g5 = gcols.reshape(oh, ow, c, kh, kw).transpose(2, 0, 1, 3, 4)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += g5[:, :, :, i, j]
+    return gx
+
+
 def conv2d(x, kernels, stride: int = 1) -> Tensor:
-    """Valid (no padding) 2-D convolution of a CHW input with OCKK kernels."""
+    """Valid (no padding) 2-D convolution of a CHW input with OCKK kernels.
+
+    The im2col layout is fixed for bit-identity (see ``_im2col``), so the
+    forward matmul and the kernel gradient always see the same operands,
+    whichever path built them. Non-overlapping windows (``stride == kh ==
+    kw``: every backbone conv and every 1x1 head conv) take a reshape
+    im2col and a one-shot col2im; overlapping ones a sliding-window view
+    and a loop over kernel offsets.
+    """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if x.data.ndim != 3:
         raise ValueError("conv2d input must be C x H x W")
@@ -332,20 +390,14 @@ def conv2d(x, kernels, stride: int = 1) -> Tensor:
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
 
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                       # (C, OH, OW, Kh, Kw)
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
+    cols = _im2col(x.data, kh, kw, stride)
     wmat = kernels.data.reshape(o, c * kh * kw)
     out = (wmat @ cols.T).reshape(o, oh, ow)
 
     def bw(g):
         gm = g.reshape(o, oh * ow)
-        gk = (gm @ cols).reshape(o, c, kh, kw)
-        gcols = (gm.T @ wmat).reshape(oh, ow, c, kh, kw).transpose(2, 0, 1, 3, 4)
-        gx = np.zeros((c, h, w))
-        for i in range(kh):
-            for j in range(kw):
-                gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, :, i, j]
+        gk = (gm @ cols).reshape(o, c, kh, kw) if kernels.requires_grad else None
+        gx = _col2im(gm.T @ wmat, (c, h, w), kh, kw, stride) if x.requires_grad else None
         return gx, gk
 
     return _from_op(out, (x, kernels), bw, "conv2d")

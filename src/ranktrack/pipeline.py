@@ -216,17 +216,29 @@ def _head(mp: ModelParams, name: str, s: Tensor) -> Tensor:
     return nm.add(nm.conv2d(h, mp.params[f"{name}2_w"]), mp.params[f"{name}2_b"])
 
 
-def forward(mp: ModelParams, template: np.ndarray, search: np.ndarray,
+def _check_channels(mp: ModelParams, raster: np.ndarray) -> None:
+    if raster.shape[0] != mp.in_channels:
+        raise ValueError("raster channel count does not match the model")
+
+
+def embed_template(mp: ModelParams, template: np.ndarray) -> Tensor:
+    """Backbone features of a template raster, for reuse across ``forward``
+    calls that match the same template against many search crops."""
+    _check_channels(mp, template)
+    return _backbone(mp, template)
+
+
+def forward(mp: ModelParams, template: np.ndarray | Tensor, search: np.ndarray,
             ) -> tuple[Tensor, Tensor]:
     """Class logits (2, G, G) and positive side offsets (4, G, G) in pixels.
 
-    Offsets are stride * exp(raw), so decoded boxes always have
-    non-negative extents and a zero raw output means one stride unit;
-    class logits are softmaxed by consumers.
+    ``template`` is a raster or its features from ``embed_template``; the
+    two give the same bits. Offsets are stride * exp(raw), so decoded boxes
+    always have non-negative extents and a zero raw output means one
+    stride unit; class logits are softmaxed by consumers.
     """
-    if template.shape[0] != mp.in_channels or search.shape[0] != mp.in_channels:
-        raise ValueError("raster channel count does not match the model")
-    fz = _backbone(mp, template)
+    _check_channels(mp, search)
+    fz = template if isinstance(template, Tensor) else embed_template(mp, template)
     fx = _backbone(mp, search)
     if mp.corr_mode == "dw":
         sim = correlation.dw_corr(fz, fx)
@@ -544,11 +556,12 @@ def search_transform(prev: Box, cfg: TrainConfig) -> synthdata.CropTransform:
     return synthdata.CropTransform(cx=cx, cy=cy, side=side, out_size=cfg.search_size)
 
 
-def track_step(mp: ModelParams, template: np.ndarray, frame: np.ndarray, prev: Box,
-               cfg: TrainConfig, window_influence: float = 0.0,
+def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray,
+               prev: Box, cfg: TrainConfig, window_influence: float = 0.0,
                ) -> tuple[tuple[int, int], Box]:
     """One tracking step: search ``frame`` around ``prev`` and pick the
     grid cell with the best windowed score, as described in ``track``.
+    ``template`` is the template raster or its ``embed_template`` features.
 
     Returns the chosen grid cell (row, col) and its decoded box in image
     coordinates, clamped to the frame; a degenerate box is replaced by
@@ -586,9 +599,11 @@ def track(mp: ModelParams, seq: synthdata.Sequence, cfg: TrainConfig,
     and w = ``window_influence`` (0 turns the window off). The window may
     move the pick among near-equal cells, but is meant to keep it on the
     same target; since the next crop is centered on the pick, such a move
-    shifts every later frame slightly.
+    shifts every later frame slightly. The template features are computed
+    once per sequence, so a frame costs one search crop and one search
+    forward.
     """
-    template = synthdata.crop_template(seq, cfg.template_size)
+    template = embed_template(mp, synthdata.crop_template(seq, cfg.template_size))
     preds = [seq.gt[0]]
     for t in range(1, len(seq)):
         _, box = track_step(mp, template, seq.frames[t], preds[-1], cfg, window_influence)

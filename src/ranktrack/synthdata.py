@@ -256,7 +256,13 @@ def context_side(box: Box, margin_ratio: float = 0.5) -> float:
 
 def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
                 out_size: int) -> np.ndarray:
-    """Bilinear square crop; regions outside the frame read as channel mean."""
+    """Bilinear square crop; regions outside the frame read as channel mean.
+
+    The operation order is fixed for bit-identity: each output pixel is
+    ((tl*(1-fx))*(1-fy)) + ((tr*fx)*(1-fy)) + ((bl*(1-fx))*fy) + ((br*fx)*fy),
+    added left to right. Precombined or separable weights round
+    differently.
+    """
     c, h, w = frame.shape
     xs = cx - side / 2.0 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
     ys = cy - side / 2.0 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
@@ -282,14 +288,24 @@ def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
     y0c[out_of_y] = 0
     y1c[out_of_y] = 0
 
-    tl = padded[:, y0c[:, None], x0c[None, :]]
-    tr = padded[:, y0c[:, None], x1c[None, :]]
-    bl = padded[:, y1c[:, None], x0c[None, :]]
-    br = padded[:, y1c[:, None], x1c[None, :]]
-    wx = fx[None, None, :]
-    wy = fy[None, :, None]
-    return (tl * (1 - wx) * (1 - wy) + tr * wx * (1 - wy)
-            + bl * (1 - wx) * wy + br * wx * wy)
+    # gather rows, then columns, into contiguous (C, out, out) corners
+    top = padded.take(y0c, axis=1)
+    bottom = padded.take(y1c, axis=1)
+    out = top.take(x0c, axis=2)
+    tr = top.take(x1c, axis=2)
+    bl = bottom.take(x0c, axis=2)
+    br = bottom.take(x1c, axis=2)
+    wx = np.tile(fx, (out_size, 1))
+    wy = np.repeat(fy[:, None], out_size, axis=1)
+    ux, uy = 1 - wx, 1 - wy
+    # in place, in the order of the docstring; tl's buffer becomes the output
+    out *= ux
+    out *= uy
+    for corner, wcol, wrow in ((tr, wx, uy), (bl, ux, wy), (br, wx, wy)):
+        corner *= wcol
+        corner *= wrow
+        out += corner
+    return out
 
 
 def crop_template(seq: Sequence, template_size: int = 64) -> np.ndarray:

@@ -64,6 +64,16 @@ class TestDwCorr:
         np.testing.assert_allclose(gz1, fz.grad, atol=1e-12)
         np.testing.assert_allclose(gx1, fx.grad, atol=1e-12)
 
+    def test_constant_side_gets_no_gradient(self):
+        rng = np.random.default_rng(6)
+        fz, fx = rng.normal(size=(2, 3, 3)), rng.normal(size=(2, 7, 6))
+        g = rng.normal(size=(2, 5, 4))
+        both = dw_corr(Tensor(fz, requires_grad=True), Tensor(fx, requires_grad=True))._backward_fn(g)
+        fixed_x = dw_corr(Tensor(fz, requires_grad=True), Tensor(fx))._backward_fn(g)
+        fixed_z = dw_corr(Tensor(fz), Tensor(fx, requires_grad=True))._backward_fn(g)
+        assert fixed_x[1] is None and fixed_x[0].tobytes() == both[0].tobytes()
+        assert fixed_z[0] is None and fixed_z[1].tobytes() == both[1].tobytes()
+
 
 class TestPwCorr:
     def test_single_template_pixel_weights(self):

@@ -286,6 +286,25 @@ class TestTrack:
         assert plain != center
         assert full == center
 
+    def test_track_equals_raster_track_step_loop(self, trained_baseline):
+        # track embeds the template once per sequence; the boxes must be the
+        # bits of a frame-by-frame track_step loop that passes the raster
+        cfg, result = trained_baseline
+        for seq in pipeline.eval_pool(cfg)[:2]:
+            template = synthdata.crop_template(seq, cfg.template_size)
+            boxes = [seq.gt[0]]
+            for t in range(1, len(seq)):
+                boxes.append(track_step(result.params, template, seq.frames[t], boxes[-1], cfg)[1])
+            assert track(result.params, seq, cfg) == boxes
+
+    def test_forward_on_template_features_equals_raster(self, trained_baseline):
+        cfg, result = trained_baseline
+        t, s, _, _ = synthdata.crop_pair(pipeline.eval_pool(cfg)[0], 2,
+                                         cfg.template_size, cfg.search_size)
+        fz = pipeline.embed_template(result.params, t)
+        for got, want in zip(forward(result.params, fz, s), forward(result.params, t, s)):
+            assert got.data.tobytes() == want.data.tobytes()
+
     def test_predictions_clamped_to_frame(self, trained_baseline):
         cfg, result = trained_baseline
         spec = synthdata.SequenceSpec(seed=33, frames=6, motion_sigma=10.0)

@@ -132,6 +132,71 @@ class TestShapeWindow:
                                           err_msg=f"{shape} {box}")
 
 
+def reference_crop_window(frame, cx, cy, side, out_size):
+    """``crop_window`` as written before the row-then-column gather: four
+    2-D fancy-index gathers and broadcast weights. The fast path must give
+    the same bytes."""
+    c, h, w = frame.shape
+    xs = cx - side / 2.0 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
+    ys = cy - side / 2.0 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    fx = xs - x0
+    fy = ys - y0
+    means = frame.reshape(c, -1).mean(axis=1)
+    padded = np.empty((c, h + 2, w + 2))
+    padded[:] = means[:, None, None]
+    padded[:, 1:h + 1, 1:w + 1] = frame
+    x0c = np.clip(x0 + 1, 0, w + 1)
+    x1c = np.clip(x0 + 2, 0, w + 1)
+    y0c = np.clip(y0 + 1, 0, h + 1)
+    y1c = np.clip(y0 + 2, 0, h + 1)
+    out_of_x = (x0 < -1) | (x0 > w)
+    out_of_y = (y0 < -1) | (y0 > h)
+    x0c[out_of_x] = 0
+    x1c[out_of_x] = 0
+    y0c[out_of_y] = 0
+    y1c[out_of_y] = 0
+    tl = padded[:, y0c[:, None], x0c[None, :]]
+    tr = padded[:, y0c[:, None], x1c[None, :]]
+    bl = padded[:, y1c[:, None], x0c[None, :]]
+    br = padded[:, y1c[:, None], x1c[None, :]]
+    wx = fx[None, None, :]
+    wy = fy[None, :, None]
+    return (tl * (1 - wx) * (1 - wy) + tr * wx * (1 - wy)
+            + bl * (1 - wx) * wy + br * wx * wy)
+
+
+class TestCropWindowBits:
+    """The fast ``crop_window`` equals the reference byte for byte."""
+
+    def crops(self, rng, h, w):
+        out = []
+        for _ in range(12):  # anywhere, partly or wholly off-frame
+            out.append((rng.uniform(-200, w + 200), rng.uniform(-200, h + 200),
+                        rng.uniform(1, 400)))
+        for _ in range(6):  # sub-pixel sides and sub-pixel centers
+            out.append((rng.uniform(0, w), rng.uniform(0, h), rng.uniform(0.01, 1.0)))
+        for _ in range(6):  # sides and centers on pixel borders
+            out.append((rng.integers(0, 2 * w) / 2, rng.integers(0, 2 * h) / 2,
+                        float(rng.integers(1, 200))))
+        out.append((w / 2, h / 2, float(max(h, w))))  # the whole frame
+        out.append((-1e4, 3e4, 50.0))                    # nowhere near it
+        return out
+
+    @pytest.mark.parametrize("out_size", [64, 127, 128, 255])
+    def test_random_crops(self, out_size):
+        rng = np.random.default_rng(out_size)
+        frames = [rng.random((3, 160, 160)), rng.random((1, 37, 90)),
+                  gen_sequence(SequenceSpec(seed=out_size, frames=1)).frames[0]]
+        for frame in frames:
+            for cx, cy, side in self.crops(rng, *frame.shape[1:]):
+                got = crop_window(frame, cx, cy, side, out_size)
+                want = reference_crop_window(frame, cx, cy, side, out_size)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (frame.shape, cx, cy, side)
+
+
 class TestCropPair:
     def test_centered_target_maps_to_search_center(self):
         seq = gen_sequence(SequenceSpec(seed=9, frames=3, motion_sigma=0.0))
