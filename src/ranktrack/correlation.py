@@ -42,18 +42,39 @@ def dw_corr(fz: Tensor, fx: Tensor) -> Tensor:
 
     windows = np.lib.stride_tricks.sliding_window_view(fx.data, (hz, wz), axis=(1, 2))
     out = np.einsum("cuvij,cij->cuv", windows, fz.data, optimize=True)
+    z = fz.data
+    need_z, need_x = fz.requires_grad, fx.requires_grad
 
     def bw(g):
-        gz = np.einsum("cuvij,cuv->cij", windows, g, optimize=True) if fz.requires_grad else None
-        if not fx.requires_grad:
+        gz = np.einsum("cuvij,cuv->cij", windows, g, optimize=True) if need_z else None
+        if not need_x:
             return gz, None
-        gx = np.zeros_like(fx.data)
+        # scatter channels-last, so each of the hz*wz products and adds runs
+        # over contiguous rows of C values; every element still gets its
+        # terms in the same order, starting from 0.0
+        gt = np.ascontiguousarray(g.transpose(1, 2, 0))
+        zt = np.ascontiguousarray(z.transpose(1, 2, 0))
+        gxt = np.zeros((hx, wx, c))
         for i in range(hz):
             for j in range(wz):
-                gx[:, i:i + oh, j:j + ow] += g * fz.data[:, i:i + 1, j:j + 1]
-        return gz, gx
+                gxt[i:i + oh, j:j + ow] += gt * zt[i, j]
+        return gz, np.ascontiguousarray(gxt.transpose(2, 0, 1))
 
     return nm._from_op(out, (fz, fx), bw, "dw_corr")
+
+
+def _attention_weights(zt: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """softmax over template pixels of zt.T @ x / sqrt(C): the normalized
+    (HzWz, HxWx) attention matrix of ``pw_corr`` for template features
+    ``zt`` (C, HzWz) and search features ``x`` (C, HxWx)."""
+    scores = zt.T @ x
+    nm._check_finite(scores, "pw_corr matmul")
+    scores = scores * (1.0 / math.sqrt(zt.shape[0]))
+    nm._check_finite(scores, "pw_corr scale")
+    e = np.exp(scores - np.max(scores, axis=0, keepdims=True))
+    w = e / np.sum(e, axis=0, keepdims=True)
+    nm._check_finite(w, "pw_corr softmax")
+    return w
 
 
 def pw_corr(fz: Tensor, fx: Tensor) -> Tensor:
@@ -63,7 +84,15 @@ def pw_corr(fz: Tensor, fx: Tensor) -> Tensor:
     w[i, j] = softmax_i(fz_i . fx_j / sqrt(C)); the output stacks fx on
     top of the re-aggregated template features, giving 2C channels at
     the search extent. The first C output channels are fx unchanged.
+
+    Recorded as one op that keeps only ``w`` besides its inputs. Forward
+    and backward run the numpy steps of the composition
+    ``concat([fx, reshape(transpose(z) @ softmax((z @ x) * s))])`` in its
+    order and memory layouts, so the bits equal those of the composed
+    graph; the two gradient terms that reach ``fz`` and ``fx`` are each
+    summed once.
     """
+    fz, fx = nm._as_tensor(fz), nm._as_tensor(fx)
     if fz.data.ndim != 3 or fx.data.ndim != 3:
         raise ValueError("pw_corr expects C x H x W tensors")
     c, hz, wz = fz.data.shape
@@ -73,18 +102,26 @@ def pw_corr(fz: Tensor, fx: Tensor) -> Tensor:
     if c == 0:
         raise ValueError("pw_corr requires at least one channel")
 
-    z = nm.transpose(nm.reshape(fz, (c, hz * wz)))        # (HzWz, C)
-    x = nm.reshape(fx, (c, hx * wx))                      # (C, HxWx)
-    scores = nm.mul(nm.matmul(z, x), 1.0 / math.sqrt(c))  # (HzWz, HxWx)
-    w = nm.softmax(scores, axis=0)
-    aggregated = nm.reshape(nm.matmul(nm.transpose(z), w), (c, hx, wx))
-    return nm.concat([fx, aggregated], axis=0)
+    zt = fz.data.reshape(c, hz * wz)                      # (C, HzWz)
+    x = fx.data.reshape(c, hx * wx)                       # (C, HxWx)
+    scale = 1.0 / math.sqrt(c)
+    w = _attention_weights(zt, x)
+    aggregated = zt @ w
+    nm._check_finite(aggregated, "pw_corr aggregation")
+    out = np.concatenate([fx.data, aggregated.reshape(c, hx, wx)], axis=0)
+    need_z, need_x = fz.requires_grad, fx.requires_grad
 
+    def bw(g):
+        g_agg = g[c:].reshape(c, hx * wx)
+        gw = zt.T @ g_agg
+        gzt = g_agg @ w.T if need_z else None
+        gs = w * (gw - np.sum(gw * w, axis=0, keepdims=True))
+        gm = gs * scale
+        gz = gx = None
+        if need_z:
+            gz = np.transpose(np.transpose(gzt) + gm @ x.T).reshape(c, hz, wz)
+        if need_x:
+            gx = g[:c] + (zt @ gm).reshape(c, hx, wx)
+        return gz, gx
 
-def attention_weights(fz: Tensor, fx: Tensor) -> Tensor:
-    """The normalized (HzWz, HxWx) attention matrix used by ``pw_corr``."""
-    c, hz, wz = fz.data.shape
-    _, hx, wx = fx.data.shape
-    z = nm.transpose(nm.reshape(fz, (c, hz * wz)))
-    x = nm.reshape(fx, (c, hx * wx))
-    return nm.softmax(nm.mul(nm.matmul(z, x), 1.0 / math.sqrt(c)), axis=0)
+    return nm._from_op(out, (fz, fx), bw, "pw_corr")

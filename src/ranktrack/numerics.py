@@ -6,20 +6,27 @@ valid conv2d, relu, sigmoid, exp, log, softplus, concat, sum/mean/max
 reductions, elementwise maximum, and softmax. Shape plumbing (reshape,
 transpose, indexing) moves data without arithmetic. Everything else in
 the repo composes from these, which keeps the differentiation surface
-auditable.
+auditable. Two layers are recorded as single nodes that give the bits of
+their compositions: ``conv2d(x, k, stride, bias=b, relu=True)``, a conv
+layer with its bias add and ReLU, and ``correlation.pw_corr``, the
+attention of template features over search features.
 
 All storage is float64. Every op validates that its output is finite
 and raises :class:`NonFiniteError` instead of propagating NaN/Inf.
 
-Recording model: an op output keeps references to its parent tensors
-plus a closure that maps the output gradient to parent gradients;
-``backward`` walks that record once per node in reverse topological
-order and accumulates into the ``grad`` buffers of the leaves; recorded
-intermediate nodes pass their gradient on and keep ``grad`` None. A
-closure computes gradients only for the parents that require them and
-returns None for the others (a raster input, a constant factor). The
-recorded graph belongs to the thread that built it; tensors themselves
-are plain values and safe to hand between threads.
+Recording model: an op output whose parents include one that requires a
+gradient records a node: the parents that require gradients (None in
+the place of any other, so a raster or a constant factor is freed once
+the forward is done) and a closure that maps the output gradient to
+parent gradients. The closure keeps only the arrays its backward reads
+(a conv keeps its patch matrix, weights and ReLU mask, a softmax its
+output), not the parent tensors. ``backward`` walks the record once per
+node in reverse topological order and accumulates into the ``grad``
+buffers of the leaves; recorded intermediate nodes pass their gradient
+on and keep ``grad`` None. A closure computes gradients only for the
+parents that require them and returns None for the others. The recorded
+graph belongs to the thread that built it; tensors themselves are plain
+values and safe to hand between threads.
 """
 
 from __future__ import annotations
@@ -85,7 +92,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor | None, ...] = ()
         self._backward_fn = None
         self._op = "leaf"
 
@@ -170,7 +177,7 @@ def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) 
     out.grad = None
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
+        out._parents = tuple(p if p.requires_grad else None for p in parents)
         out._backward_fn = backward_fn
     else:
         out.requires_grad = False
@@ -197,20 +204,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, sa) if need_a else None,
+                _unbroadcast(g, sb) if need_b else None)
 
     return _from_op(a.data + b.data, (a, b), bw, "add")
 
 
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    x, y = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (_unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None)
+        return (_unbroadcast(g * y, x.shape) if need_a else None,
+                _unbroadcast(g * x, y.shape) if need_b else None)
 
     return _from_op(a.data * b.data, (a, b), bw, "mul")
 
@@ -262,14 +273,15 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
+    x = a.data
     with np.errstate(divide="raise", invalid="raise"):
         try:
-            out = np.log(a.data)
+            out = np.log(x)
         except FloatingPointError:
             raise NonFiniteError("log of a non-positive value") from None
 
     def bw(g):
-        return (g / a.data,)
+        return (g / x,)
 
     return _from_op(out, (a,), bw, "log")
 
@@ -291,10 +303,11 @@ def maximum(a, b) -> Tensor:
     """Elementwise max; on ties the gradient flows to the first argument."""
     a, b = _as_tensor(a), _as_tensor(b)
     take_a = a.data >= b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return (_unbroadcast(g * take_a, a.data.shape),
-                _unbroadcast(g * ~take_a, b.data.shape))
+        return (_unbroadcast(g * take_a, sa),
+                _unbroadcast(g * ~take_a, sb))
 
     return _from_op(np.where(take_a, a.data, b.data), (a, b), bw, "maximum")
 
@@ -311,10 +324,12 @@ def matmul(a, b) -> Tensor:
         raise ValueError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    x, y = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return (g @ b.data.T if a.requires_grad else None,
-                a.data.T @ g if b.requires_grad else None)
+        return (g @ y.T if need_a else None,
+                x.T @ g if need_b else None)
 
     return _from_op(a.data @ b.data, (a, b), bw, "matmul")
 
@@ -364,8 +379,10 @@ def _col2im(gcols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int,
     return gx
 
 
-def conv2d(x, kernels, stride: int = 1) -> Tensor:
-    """Valid (no padding) 2-D convolution of a CHW input with OCKK kernels.
+def conv2d(x, kernels, stride: int = 1, bias=None, relu: bool = False) -> Tensor:
+    """Valid (no padding) 2-D convolution of a CHW input with OCKK kernels,
+    optionally followed by a broadcast ``bias`` add and a ReLU, recorded as
+    one node.
 
     The im2col layout is fixed for bit-identity (see ``_im2col``), so the
     forward matmul and the kernel gradient always see the same operands,
@@ -373,6 +390,13 @@ def conv2d(x, kernels, stride: int = 1) -> Tensor:
     kw``: every backbone conv and every 1x1 head conv) take a reshape
     im2col and a one-shot col2im; overlapping ones a sliding-window view
     and a loop over kernel offsets.
+
+    The fused layer gives the same bits as ``relu(add(conv2d(x, k), b))``:
+    the bias is added in place on the matmul result and the finiteness
+    check runs once, on the sum, before the ReLU zeroes anything (it raises
+    whenever one of the three checks of the composition would). The
+    backward masks the gradient, sums it onto the bias, then runs the conv
+    gradients on the masked gradient, as the three nodes would in turn.
     """
     x, kernels = _as_tensor(x), _as_tensor(kernels)
     if x.data.ndim != 3:
@@ -393,14 +417,33 @@ def conv2d(x, kernels, stride: int = 1) -> Tensor:
     cols = _im2col(x.data, kh, kw, stride)
     wmat = kernels.data.reshape(o, c * kh * kw)
     out = (wmat @ cols.T).reshape(o, oh, ow)
+    parents, bias_shape = (x, kernels), None
+    if bias is not None:
+        bias = _as_tensor(bias)
+        bias_shape = bias.data.shape
+        with np.errstate(over="ignore"):
+            out += bias.data            # raises ValueError unless it broadcasts
+        parents += (bias,)
+    mask = out > 0 if relu else None
+    need_x, need_k = x.requires_grad, kernels.requires_grad
+    need_b = bias is not None and bias.requires_grad
 
     def bw(g):
+        if mask is not None:
+            g = g * mask
         gm = g.reshape(o, oh * ow)
-        gk = (gm @ cols).reshape(o, c, kh, kw) if kernels.requires_grad else None
-        gx = _col2im(gm.T @ wmat, (c, h, w), kh, kw, stride) if x.requires_grad else None
-        return gx, gk
+        gk = (gm @ cols).reshape(o, c, kh, kw) if need_k else None
+        gx = _col2im(gm.T @ wmat, (c, h, w), kh, kw, stride) if need_x else None
+        if bias_shape is None:
+            return gx, gk
+        return gx, gk, _unbroadcast(g, bias_shape) if need_b else None
 
-    return _from_op(out, (x, kernels), bw, "conv2d")
+    # _from_op checks the pre-activation values; the ReLU then zeroes the
+    # recorded output in place
+    node = _from_op(out, parents, bw, "conv2d")
+    if mask is not None:
+        np.copyto(out, 0.0, where=~mask)
+    return node
 
 
 # -- shape plumbing -----------------------------------------------------------
@@ -445,9 +488,10 @@ def transpose(a, axes=None) -> Tensor:
 
 def getitem(a, idx) -> Tensor:
     a = _as_tensor(a)
+    x = a.data
 
     def bw(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros_like(x)
         np.add.at(ga, idx, g)
         return (ga,)
 
@@ -558,7 +602,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if p is not None and id(p) not in visited:
                 stack.append((p, False))
     return order
 
@@ -588,7 +632,7 @@ def backward(loss: Tensor) -> None:
             continue
         grads = node._backward_fn(flow)
         for parent, g in zip(node._parents, grads):
-            if not parent.requires_grad or g is None:
+            if parent is None or g is None:
                 continue
             prev = flows.get(id(parent))
             flows[id(parent)] = g if prev is None else prev + g

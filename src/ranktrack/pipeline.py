@@ -205,15 +205,14 @@ def _backbone(mp: ModelParams, raster: np.ndarray) -> Tensor:
     # swamped by the DC component
     x = Tensor(raster - 0.5)
     for i in range(1, len(BACKBONE_CHANNELS) + 1):
-        x = nm.conv2d(x, mp.params[f"bb{i}_w"], stride=BACKBONE_STRIDE)
-        x = nm.add(x, mp.params[f"bb{i}_b"])
-        x = nm.relu(x)
+        x = nm.conv2d(x, mp.params[f"bb{i}_w"], stride=BACKBONE_STRIDE,
+                      bias=mp.params[f"bb{i}_b"], relu=True)
     return x
 
 
 def _head(mp: ModelParams, name: str, s: Tensor) -> Tensor:
-    h = nm.relu(nm.add(nm.conv2d(s, mp.params[f"{name}1_w"]), mp.params[f"{name}1_b"]))
-    return nm.add(nm.conv2d(h, mp.params[f"{name}2_w"]), mp.params[f"{name}2_b"])
+    h = nm.conv2d(s, mp.params[f"{name}1_w"], bias=mp.params[f"{name}1_b"], relu=True)
+    return nm.conv2d(h, mp.params[f"{name}2_w"], bias=mp.params[f"{name}2_b"])
 
 
 def _check_channels(mp: ModelParams, raster: np.ndarray) -> None:

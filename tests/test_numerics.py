@@ -166,6 +166,108 @@ class TestConv2dTiledBits:
         assert gk is None and gx.tobytes() == reference_conv2d(x, kern, 2)[1](g)[0].tobytes()
 
 
+def composed_layer(x, k, b, stride, relu):
+    """A conv layer as it was composed before the fused op: conv2d, add,
+    relu, three recorded nodes."""
+    out = nm.add(nm.conv2d(x, k, stride=stride), b)
+    return nm.relu(out) if relu else out
+
+
+def layer_grads(layer, x, k, b, stride, relu, g, need_x=True):
+    """Output of ``layer`` and the exact gradients that reach x, k and b for
+    an output gradient ``g``: the leaves start from ``grad`` None, so
+    backward stores the incoming flow as is (a -0.0 stays -0.0)."""
+    tx = Tensor(x, requires_grad=need_x)
+    tk, tb = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
+    tx.grad = tk.grad = tb.grad = None
+    out = layer(tx, tk, tb, stride, relu)
+    backward(nm.sum_(nm.mul(out, Tensor(g))))
+    return out.data, tx.grad, tk.grad, tb.grad
+
+
+def fused_layer(x, k, b, stride, relu):
+    return nm.conv2d(x, k, stride=stride, bias=b, relu=relu)
+
+
+class TestConv2dFusedLayer:
+    """conv2d with bias and relu is one node with the bits of the
+    conv2d -> add -> relu composition, forward and every gradient."""
+
+    @pytest.mark.parametrize("c,h,w,o,k", [
+        (3, 127, 127, 16, 2), (16, 63, 63, 32, 2), (32, 15, 31, 32, 2),
+        (64, 31, 31, 16, 1), (16, 16, 16, 4, 1), (5, 9, 7, 4, 3),
+    ])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_matches_composition(self, c, h, w, o, k, relu):
+        rng = np.random.default_rng(c * 1000 + h * 10 + k)
+        x = rng.standard_normal((c, h, w))
+        kern = rng.standard_normal((o, c, k, k))
+        bias = rng.standard_normal((o, 1, 1))
+        oh, ow = (h - k) // k + 1, (w - k) // k + 1
+        g = rng.standard_normal((o, oh, ow))
+        g[:, ::3] = -0.0
+        g[0] = 0.0
+        got = layer_grads(fused_layer, x, kern, bias, k, relu, g)
+        want = layer_grads(composed_layer, x, kern, bias, k, relu, g)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_constant_input(self):
+        rng = np.random.default_rng(11)
+        x, kern = rng.standard_normal((3, 127, 127)), rng.standard_normal((16, 3, 2, 2))
+        bias, g = rng.standard_normal((16, 1, 1)), rng.standard_normal((16, 63, 63))
+        got = layer_grads(fused_layer, x, kern, bias, 2, True, g, need_x=False)
+        want = layer_grads(composed_layer, x, kern, bias, 2, True, g, need_x=False)
+        assert got[1] is None and want[1] is None
+        for a, b in zip(got[::2] + got[3:], want[::2] + want[3:]):
+            assert a.tobytes() == b.tobytes()
+
+    def test_one_node_that_drops_the_constant_input(self):
+        rng = np.random.default_rng(12)
+        kern = Tensor(rng.standard_normal((4, 3, 2, 2)), requires_grad=True)
+        bias = Tensor(rng.standard_normal((4, 1, 1)), requires_grad=True)
+        out = nm.conv2d(Tensor(rng.standard_normal((3, 8, 8))), kern, stride=2,
+                        bias=bias, relu=True)
+        assert out._op == "conv2d" and out._parents == (None, kern, bias)
+        kept = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        assert not any(isinstance(v, Tensor) for v in kept)
+
+    def test_relu_zeroes_non_positive_outputs(self):
+        out = nm.conv2d(Tensor(np.ones((1, 2, 2))), Tensor(np.ones((3, 1, 1, 1))),
+                        bias=Tensor(np.array([-1.0, -2.0, 0.5]).reshape(3, 1, 1)), relu=True)
+        np.testing.assert_array_equal(out.data[:, 0, 0], [0.0, 0.0, 1.5])
+        assert not np.signbit(out.data).any()
+
+    def test_finite_differences(self, rng_points):
+        x0 = rng_points.normal(size=(3, 6, 6))
+        k0 = rng_points.normal(size=(4, 3, 2, 2))
+        b0 = rng_points.normal(size=(4, 1, 1))
+        w = rng_points.normal(size=(4, 3, 3))
+
+        def loss(x, k, b):
+            return nm.sum_(nm.mul(nm.conv2d(x, k, stride=2, bias=b, relu=True), Tensor(w)))
+
+        assert finite_diff_check(lambda b: loss(Tensor(x0), Tensor(k0), b), Tensor(b0)) < 1e-4
+        assert finite_diff_check(lambda x: loss(x, Tensor(k0), Tensor(b0)), Tensor(x0)) < 1e-4
+        assert finite_diff_check(lambda k: loss(Tensor(x0), k, Tensor(b0)), Tensor(k0)) < 1e-4
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("relu", [True, False])
+    def test_overflowing_bias_add_raises(self, sign, relu):
+        # conv output and bias are finite; their sum is +-inf, which a ReLU
+        # would hide for the negative sign
+        x = Tensor(np.ones((1, 1, 1)))
+        k = Tensor(np.full((1, 1, 1, 1), sign * 1e308), requires_grad=True)
+        b = Tensor(np.full((1, 1, 1), sign * 1e308))
+        with pytest.raises(NonFiniteError):
+            nm.conv2d(x, k, bias=b, relu=relu)
+
+    def test_bias_that_does_not_broadcast_is_rejected(self):
+        with pytest.raises(ValueError):
+            nm.conv2d(Tensor(np.ones((1, 4, 4))), Tensor(np.ones((2, 1, 1, 1))),
+                      bias=Tensor(np.ones((3, 1, 1))))
+
+
 class TestBackward:
     def test_square(self):
         x = Tensor(3.0, requires_grad=True)
@@ -219,6 +321,15 @@ class TestBackward:
         backward(nm.mul(s, s))
         assert h.grad is None and s.grad is None
         np.testing.assert_allclose(x.grad, 4.0 * s.data * h.data, rtol=1e-15)
+
+    @pytest.mark.parametrize("op", [nm.add, nm.mul, nm.matmul, nm.maximum])
+    def test_constant_parent_is_not_kept(self, op):
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        out = op(a, Tensor(rng.standard_normal((3, 3))))
+        assert out._parents == (a, None)
+        kept = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        assert not any(isinstance(v, Tensor) for v in kept)
 
     @pytest.mark.parametrize("op", [nm.add, nm.mul, nm.matmul])
     def test_constant_parent_gets_no_gradient(self, op):

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,35 @@ class TestImageLoss:
         cfg, mp, t, s, _ = self.setup_model()
         far = Box(1.0, 1.0, 6.0, 6.0)  # inside search but off the 9x9 grid span
         assert image_loss(cfg, mp, t, s, far, head_grid(cfg)) is None
+
+
+    def test_graph_of_a_paper_loss_holds_at_most_16_mib(self):
+        # 127/255 pw: one node per conv layer and one attention matrix in
+        # pw_corr. With conv, bias add and ReLU recorded as three nodes and
+        # pw_corr composed op by op, the same graph held 26.3 MiB.
+        cfg = quick_config(template_size=127, search_size=255, corr_mode="pw",
+                           rank_cls=True, rank_iou=True)
+        mp = init_params(cfg, SplitMix64(5))
+        seq = synthdata.gen_sequence(synthdata.SequenceSpec(seed=6, frames=3))
+        t, s, gt_s, _ = synthdata.crop_pair(seq, 1, 127, 255)
+        grid = head_grid(cfg)
+        assert image_loss(cfg, mp, t, s, gt_s, grid) is not None  # warm caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out, _ = image_loss(cfg, mp, t, s, gt_s, grid)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.total._backward_fn is not None
+        assert held <= 16 * 2**20, f"graph holds {held / 2**20:.1f} MiB"
+
+    def test_raster_is_not_kept_by_the_graph(self):
+        cfg, mp, t, _, _ = self.setup_model()
+        first = pipeline._backbone(mp, t)
+        while first._parents[0] is not None:
+            first = first._parents[0]
+        assert first._op == "conv2d" and first._parents[1] is mp.params["bb1_w"]
 
 
 class TestTrainLoop:
