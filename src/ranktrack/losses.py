@@ -25,14 +25,12 @@ import numpy as np
 from . import numerics as nm
 from .geometry import LabelMap
 from .numerics import Tensor
-from .rng import SplitMix64
 
 DEFAULT_ALPHA = 0.5     # margin of the classification ranking loss
 DEFAULT_BETA = 4.0      # sharpness of the classification ranking loss
 DEFAULT_GAMMA = 3.0     # sharpness of the IoU-guided ranking loss
 DEFAULT_TAU_NEG = 0.5   # confidence above which a negative counts as hard
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.25)
-PAIR_CAP = 256          # positives are subsampled beyond this before pairing
 
 
 @dataclass
@@ -149,19 +147,7 @@ def _pair_indices(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(gt)
 
 
-def _subsample(batch: RankBatch, cap: int, rng: SplitMix64 | None) -> RankBatch:
-    n = batch.n_pos
-    if n <= cap:
-        return batch
-    rng = rng or SplitMix64(0)
-    keep = np.array(sorted(rng.sample_indices(n, cap)))
-    return RankBatch(pos_scores=batch.pos_scores[keep],
-                     neg_scores=batch.neg_scores,
-                     pos_ious=batch.pos_ious[keep])
-
-
-def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA,
-                  pair_cap: int = PAIR_CAP, rng: SplitMix64 | None = None) -> Tensor:
+def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA) -> Tensor:
     """Pairwise exponential loss aligning confidence order with IoU order.
 
     Over positive locations:
@@ -176,7 +162,6 @@ def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA,
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
-    batch = _subsample(batch, pair_cap, rng)
     n = batch.n_pos
     if n <= 1:
         return Tensor(0.0)
@@ -195,8 +180,7 @@ def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA,
     return nm.mul(nm.add(s1, s2), 1.0 / n)
 
 
-def rank_iou_loss_ori(batch: RankBatch, alpha: float = 4.0,
-                      pair_cap: int = PAIR_CAP, rng: SplitMix64 | None = None) -> Tensor:
+def rank_iou_loss_ori(batch: RankBatch, alpha: float = 4.0) -> Tensor:
     """Coupled pairwise baseline: mean over ordered pairs (i != j) of
     (1/alpha) * log(1 + exp(-alpha * (p_i - p_j) * (v_i - v_j))).
 
@@ -205,7 +189,6 @@ def rank_iou_loss_ori(batch: RankBatch, alpha: float = 4.0,
     """
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    batch = _subsample(batch, pair_cap, rng)
     n = batch.n_pos
     if n <= 1:
         return Tensor(0.0)

@@ -251,8 +251,7 @@ def forward(mp: ModelParams, template: np.ndarray | Tensor, search: np.ndarray,
 # -- per-image loss -------------------------------------------------------------
 
 def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
-               search: np.ndarray, gt: Box, grid: HeadGrid,
-               enable_rank: bool = True, rng: SplitMix64 | None = None,
+               search: np.ndarray, gt: Box, grid: HeadGrid, enable_rank: bool = True,
                ) -> tuple[losses.LossBreakdown, float | None] | None:
     """Loss terms for one (template, search, gt) triple, plus the
     classification ranking margin P_plus - P_minus (None when that term
@@ -304,9 +303,9 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
     rank_iou_term: Tensor | float = 0.0
     if enable_rank:
         if cfg.rank_iou:
-            rank_iou_term = losses.rank_iou_loss(batch, cfg.gamma, rng=rng)
+            rank_iou_term = losses.rank_iou_loss(batch, cfg.gamma)
         elif cfg.rank_iou_ori:
-            rank_iou_term = losses.rank_iou_loss_ori(batch, cfg.ori_alpha, rng=rng)
+            rank_iou_term = losses.rank_iou_loss_ori(batch, cfg.ori_alpha)
 
     breakdown = losses.combine(cls_term, loc_term, rank_cls_term, rank_iou_term,
                                skipped_rank_cls=skipped,
@@ -381,12 +380,50 @@ def _snapshot(mp: ModelParams, it: int, last: LogRow | None) -> dict:
             "last_row": None if last is None else vars(last)}
 
 
+def _draw_batch(cfg: TrainConfig, pool: list[synthdata.Sequence], sampler: SplitMix64,
+                grid: HeadGrid) -> list[tuple[int, np.ndarray, Box]]:
+    """Up to ``batch_size`` training samples (sequence index, search crop,
+    ground truth in crop coordinates), drawn in turn from ``sampler``.
+
+    A draw picks a sequence and a frame and jitters the search center by up
+    to ``shift_aug``; it is kept when its ground truth captures a positive
+    grid cell. Drawing stops after ``10 * batch_size`` draws, so a batch can
+    come back short or empty.
+    """
+    batch: list[tuple[int, np.ndarray, Box]] = []
+    for _ in range(10 * cfg.batch_size):
+        if len(batch) == cfg.batch_size:
+            break
+        k = sampler.randint(len(pool))
+        seq = pool[k]
+        idx = sampler.randint(len(seq))
+        cx, cy = seq.gt[idx].center
+        if cfg.shift_aug > 0:
+            cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
+            cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
+        search, gt_s, _ = synthdata.crop_search(
+            seq, idx, cfg.template_size, cfg.search_size, search_center=(cx, cy))
+        if assign_labels(grid, gt_s).n_pos > 0:
+            batch.append((k, search, gt_s))
+    return batch
+
+
 def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> TrainResult:
     """Deterministic SGD-with-momentum run over synthetic crops.
 
+    Each iteration draws its batch first (``_draw_batch``), n samples with
+    1 <= n <= ``batch_size``. Then, for each sample in draw order, it
+    records that sample's loss graph, backpropagates 1/n times its total
+    and frees the graph before the next sample's forward, so one sample's
+    graph is alive at a time. The leaves receive the bits of one backward
+    of the batch mean (see ``numerics``), and the logged total is the
+    left-to-right sum of the sample totals times 1/n. The momentum step
+    follows.
+
     Identical config (seed included) reproduces the final parameters bit
     for bit. Raises DivergenceError with a diagnostic snapshot when any
-    loss or parameter stops being finite.
+    loss or parameter stops being finite, or when no draw of an
+    iteration yields a trainable sample.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -405,44 +442,37 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
 
     for it in range(cfg.iterations):
         enable_rank = it >= cfg.rank_warmup
-        parts: list[losses.LossBreakdown] = []
+        batch = _draw_batch(cfg, pool, sampler, grid)
+        if not batch:
+            raise DivergenceError(f"no trainable samples at iteration {it}",
+                                  _snapshot(mp, it, last_row))
+        scale = 1.0 / len(batch)
+        terms: list[dict[str, float]] = []
         margins: list[float] = []
-        attempts = 0
-        while len(parts) < cfg.batch_size and attempts < 10 * cfg.batch_size:
-            attempts += 1
-            k = sampler.randint(len(pool))
-            seq = pool[k]
-            idx = sampler.randint(len(seq))
-            cx, cy = seq.gt[idx].center
-            if cfg.shift_aug > 0:
-                cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-                cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-            search, gt_s, _ = synthdata.crop_search(
-                seq, idx, cfg.template_size, cfg.search_size, search_center=(cx, cy))
+        while batch:
+            k, search, gt_s = batch.pop(0)
             try:
-                result = image_loss(cfg, mp, templates[k], search, gt_s, grid,
-                                    enable_rank=enable_rank, rng=sampler)
+                breakdown, margin = image_loss(cfg, mp, templates[k], search, gt_s, grid,
+                                               enable_rank=enable_rank)
             except nm.NonFiniteError as e:
                 raise DivergenceError(f"non-finite loss at iteration {it}: {e}",
                                       _snapshot(mp, it, last_row)) from e
-            if result is not None:
-                parts.append(result[0])
-                if result[1] is not None:
-                    margins.append(result[1])
-        if not parts:
-            raise DivergenceError(f"no trainable samples at iteration {it}",
-                                  _snapshot(mp, it, last_row))
+            nm.backward(nm.mul(breakdown.total, scale))
+            terms.append(breakdown.floats())
+            if margin is not None:
+                margins.append(margin)
+            del breakdown, search   # free the graph and the crop before the next forward
 
-        total = nm.mul(_sum_tensors([p.total for p in parts]), 1.0 / len(parts))
-        nm.backward(total)
-
+        total = terms[0]["total"]
+        for f in terms[1:]:
+            total += f["total"]
         row = LogRow(
             iteration=it,
-            cls=float(np.mean([p.cls.item() for p in parts])),
-            loc=float(np.mean([p.loc.item() for p in parts])),
-            rank_cls=float(np.mean([p.rank_cls.item() for p in parts])),
-            rank_iou=float(np.mean([p.rank_iou.item() for p in parts])),
-            total=total.item(),
+            cls=float(np.mean([f["cls"] for f in terms])),
+            loc=float(np.mean([f["loc"] for f in terms])),
+            rank_cls=float(np.mean([f["rank_cls"] for f in terms])),
+            rank_iou=float(np.mean([f["rank_iou"] for f in terms])),
+            total=total * scale,
             margin=float(np.mean(margins)) if margins else float("nan"),
         )
         log.append(row)
@@ -457,13 +487,6 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
         mp.zero_grad()
 
     return TrainResult(params=mp, log=log, seconds=time.perf_counter() - t0)
-
-
-def _sum_tensors(ts: list[Tensor]) -> Tensor:
-    acc = ts[0]
-    for t in ts[1:]:
-        acc = nm.add(acc, t)
-    return acc
 
 
 def write_run_log(log: list[LogRow], path: str) -> None:

@@ -129,13 +129,3 @@ class SplitMix64:
             self._spare_normal = float(sin[-1])
         self._state = (self._state + 2 * pairs * _GOLDEN) & _MASK64
         return out
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), partial Fisher-Yates order."""
-        if k > n:
-            raise ValueError("cannot sample more indices than available")
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]

@@ -256,14 +256,6 @@ class TestRankIoULoss:
             v = [rng.uniform(0, 1) for _ in range(n)]
             assert rank_iou_loss(make_batch(p, v)).item() >= 0.0
 
-    def test_pair_cap_subsamples(self):
-        rng = SplitMix64(53)
-        n = 40
-        p = [rng.uniform(0, 1) for _ in range(n)]
-        v = [rng.uniform(0, 1) for _ in range(n)]
-        capped = rank_iou_loss(make_batch(p, v), pair_cap=8, rng=SplitMix64(1))
-        assert capped.item() >= 0.0
-
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
             rank_iou_loss(make_batch([0.5, 0.6], [0.2, 0.3]), gamma=0.0)

@@ -314,6 +314,35 @@ class TestBackward:
         backward(nm.add(nm.sum_(nm.mul(x2, x2)), nm.sum_(nm.exp(x2))))
         np.testing.assert_array_equal(x2.grad, g_a + g_b)
 
+    def test_per_call_accumulation_matches_one_backward(self):
+        # Two losses over shared leaves, backpropagated one call after the
+        # other at weight 1/2 each, leave the bits of one backward of their
+        # mean. x receives 1.0 from l1, then 2**-53 twice from l2: added on
+        # arrival that rounds to 1.0 in both runs, while summing one call's
+        # contributions before adding them gives 1 + 2**-52. y receives
+        # only -0.0, which an add to the zeroed buffer turns into +0.0.
+        tiny = 2.0 ** -53
+        assert (1.0 + tiny) + tiny != 1.0 + (tiny + tiny)
+
+        def losses_of(x, y):
+            l1 = nm.add(nm.sum_(nm.mul(x, 2.0)), nm.sum_(nm.mul(y, -0.0)))
+            l2 = nm.add(nm.sum_(nm.mul(x, 2.0 * tiny)), nm.sum_(nm.mul(x, 2.0 * tiny)))
+            return l1, l2
+
+        def leaves():
+            return (Tensor([0.25, -1.5, 3.0], requires_grad=True),
+                    Tensor([0.5, -2.0], requires_grad=True))
+
+        x, y = leaves()
+        for loss in losses_of(x, y):
+            backward(nm.mul(loss, 0.5))
+        xb, yb = leaves()
+        backward(nm.mul(nm.add(*losses_of(xb, yb)), 0.5))
+        assert x.grad.tobytes() == xb.grad.tobytes()
+        assert y.grad.tobytes() == yb.grad.tobytes()
+        np.testing.assert_array_equal(x.grad, 1.0)
+        assert not np.signbit(y.grad).any()
+
     def test_only_leaves_receive_gradients(self):
         x = Tensor([0.5, -1.0], requires_grad=True)
         h = nm.exp(nm.mul(x, 2.0))

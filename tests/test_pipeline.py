@@ -1,5 +1,11 @@
 import hashlib
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from ranktrack.configio import ConfigError
 from ranktrack.geometry import POSITIVE, Box, assign_labels, iou
 from ranktrack.pipeline import (
     DivergenceError,
+    LogRow,
     ModelParams,
     TrainConfig,
     feature_extent,
@@ -27,6 +34,9 @@ from ranktrack.pipeline import (
 from ranktrack.rng import SplitMix64
 
 from conftest import quick_config
+
+
+PAPER_PRESET = dict(template_size=127, search_size=255, corr_mode="pw")
 
 
 def log_digest(log) -> str:
@@ -237,6 +247,139 @@ class TestTrainLoop:
         pipeline.write_run_log(result.log, str(path))
         loaded = pipeline.read_run_log(str(path))
         assert log_digest(loaded) == log_digest(result.log)
+
+
+def batch_mean_train(cfg: TrainConfig) -> tuple[ModelParams, list[LogRow], list[int]]:
+    """Reference for ``train``: the loop that records the graphs of every
+    accepted sample of a batch and then runs one backward of their mean.
+    Also returns the batch sizes."""
+    pool = pipeline.training_pool(cfg)
+    master = SplitMix64(cfg.seed)
+    init_rng = master.spawn(pipeline._DOM_INIT)
+    sampler = master.spawn(pipeline._DOM_SAMPLER)
+    mp = init_params(cfg, init_rng)
+    grid = head_grid(cfg)
+    templates = [synthdata.crop_template(seq, cfg.template_size) for seq in pool]
+    velocity = {name: np.zeros_like(t.data) for name, t in mp.leaves()}
+    log, sizes = [], []
+    for it in range(cfg.iterations):
+        parts, margins, attempts = [], [], 0
+        while len(parts) < cfg.batch_size and attempts < 10 * cfg.batch_size:
+            attempts += 1
+            k = sampler.randint(len(pool))
+            seq = pool[k]
+            idx = sampler.randint(len(seq))
+            cx, cy = seq.gt[idx].center
+            cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
+            cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
+            search, gt_s, _ = synthdata.crop_search(
+                seq, idx, cfg.template_size, cfg.search_size, search_center=(cx, cy))
+            result = image_loss(cfg, mp, templates[k], search, gt_s, grid,
+                                enable_rank=it >= cfg.rank_warmup)
+            if result is not None:
+                parts.append(result[0])
+                if result[1] is not None:
+                    margins.append(result[1])
+        sizes.append(len(parts))
+        acc = parts[0].total
+        for p in parts[1:]:
+            acc = nm.add(acc, p.total)
+        total = nm.mul(acc, 1.0 / len(parts))
+        nm.backward(total)
+        log.append(LogRow(
+            iteration=it,
+            cls=float(np.mean([p.cls.item() for p in parts])),
+            loc=float(np.mean([p.loc.item() for p in parts])),
+            rank_cls=float(np.mean([p.rank_cls.item() for p in parts])),
+            rank_iou=float(np.mean([p.rank_iou.item() for p in parts])),
+            total=total.item(),
+            margin=float(np.mean(margins)) if margins else float("nan"),
+        ))
+        for name, t in mp.leaves():
+            velocity[name] = cfg.momentum * velocity[name] + t.grad
+            t.data = t.data - cfg.lr * velocity[name]
+        mp.zero_grad()
+    return mp, log, sizes
+
+
+class TestPerSampleBackward:
+    def test_short_batches_match_the_batch_mean_loop(self):
+        # a jitter of up to 110 px moves most search crops off the target,
+        # so many iterations run out of draws with fewer than 4 samples
+        cfg = quick_config(seed=9, shift_aug=110.0, iterations=8, train_sequences=3,
+                           frames_per_sequence=3, rank_cls=True, rank_iou=True)
+        ref_params, ref_log, sizes = batch_mean_train(cfg)
+        assert min(sizes) == 1 and max(sizes) == cfg.batch_size
+        assert sum(n < cfg.batch_size for n in sizes) >= 3
+        result = train(cfg)
+        assert log_digest(result.log) == log_digest(ref_log)
+        for name, t in result.params.leaves():
+            assert t.data.tobytes() == ref_params.params[name].data.tobytes(), name
+
+    def test_batch_with_every_draw_rejected_raises(self):
+        cfg = quick_config(shift_aug=1e6, iterations=2, train_sequences=2,
+                           frames_per_sequence=3)
+        with pytest.raises(DivergenceError, match="no trainable samples at iteration 0") as exc:
+            train(cfg)
+        assert exc.value.snapshot["iteration"] == 0
+
+    @pytest.mark.parametrize("preset, most", [({}, 4), (PAPER_PRESET, 16)])
+    def test_largest_positive_count_of_training_draws(self, monkeypatch, preset, most):
+        # The rank losses once subsampled the positives of a sample beyond
+        # 256 before pairing them; training draws come nowhere near that.
+        # Pixels do not decide the labels, so the crops are skipped.
+        monkeypatch.setattr(synthdata, "crop_window", lambda *args: None)
+        cfg = quick_config(**preset)
+        pool = pipeline.training_pool(cfg)
+        grid = head_grid(cfg)
+        sampler = SplitMix64(cfg.seed).spawn(pipeline._DOM_SAMPLER)
+        counts = [assign_labels(grid, gt).n_pos
+                  for _ in range(750)
+                  for _, _, gt in pipeline._draw_batch(cfg, pool, sampler, grid)]
+        assert len(counts) == 3000
+        assert max(counts) == most
+
+    def test_paper_training_traces_at_most_64_mib(self):
+        # One sample's graph is alive at a time. Recording the four graphs of
+        # a batch before one backward, and keeping them until the next
+        # batch's forwards were done, peaked at 107.2 MiB.
+        cfg = quick_config(iterations=3, rank_cls=True, rank_iou=True, **PAPER_PRESET)
+        pool = pipeline.training_pool(cfg)
+        tracemalloc.start()
+        try:
+            train(cfg, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20, f"training peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="page-fault counts and heap thresholds are glibc's")
+    def test_paper_training_reuses_freed_heap(self):
+        # Freeing a graph per sample lets glibc trim the heap top and fault
+        # it back in: 10 iterations took 242-295 thousand minor faults
+        # without the heap thresholds set in ranktrack.numerics, and 8.3-9.4
+        # thousand when a batch's graphs were freed together.
+        script = textwrap.dedent("""
+            import dataclasses, resource
+            from conftest import quick_config
+            from ranktrack import pipeline
+            cfg = quick_config(template_size=127, search_size=255, corr_mode="pw",
+                               iterations=3, rank_cls=True, rank_iou=True)
+            pool = pipeline.training_pool(cfg)
+            pipeline.train(cfg, pool)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            pipeline.train(dataclasses.replace(cfg, iterations=10), pool)
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        tests_dir = Path(__file__).resolve().parent
+        path = [str(tests_dir.parent / "src"), str(tests_dir)]
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=300, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+        faults = int(out.stdout.split()[-1])
+        assert faults < 2000, f"{faults} minor page faults in 10 iterations"
 
 
 class TestCheckpoint:
