@@ -53,11 +53,15 @@ def _load_train_config(path: str, seed_override: int | None) -> pipeline.TrainCo
     return cfg
 
 
-def _write_manifest(out_dir: str, cfg: pipeline.TrainConfig, config_text: str) -> None:
+def _write_run(out_dir: str, cfg: pipeline.TrainConfig, config_text: str,
+               result: pipeline.TrainResult) -> None:
+    """The artifacts of one training run: manifest, checkpoint and run log."""
     kv = {"digest": configio.sha256_text(config_text), "out_dir": out_dir}
     kv.update(cfg.to_kv())
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write(configio.format_kv(kv))
+    pipeline.save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.bin"))
+    pipeline.write_run_log(result.log, os.path.join(out_dir, "runlog.csv"))
 
 
 # -- commands ---------------------------------------------------------------------
@@ -114,9 +118,7 @@ def cmd_train(args) -> int:
             pass
         return EXIT_DIVERGED
     try:
-        _write_manifest(args.out, cfg, config_text)
-        pipeline.save_checkpoint(result.params, os.path.join(args.out, "checkpoint.bin"))
-        pipeline.write_run_log(result.log, os.path.join(args.out, "runlog.csv"))
+        _write_run(args.out, cfg, config_text, result)
     except OSError as e:
         print(f"error: cannot write outputs: {e}", file=sys.stderr)
         return EXIT_IO
@@ -125,9 +127,24 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_run_sizes(checkpoint: str, cfg: pipeline.TrainConfig) -> None:
+    """The checkpoint does not record the crop sizes it was trained at; the
+    manifest that ``train`` writes next to it does, and they must match."""
+    path = os.path.join(os.path.dirname(checkpoint), "manifest.txt")
+    if not os.path.isfile(path):
+        return
+    kv = configio.parse_kv(_read_text(path))
+    for key in ("template_size", "search_size"):
+        if kv.get(key) != str(getattr(cfg, key)):
+            raise ConfigError(f"checkpoint was trained with {key}={kv.get(key)}, "
+                              f"the config has {getattr(cfg, key)}")
+
+
 def _load_eval_inputs(args):
     cfg = _load_train_config(args.config, args.seed)
     mp = pipeline.load_checkpoint(args.checkpoint)
+    pipeline.check_params(mp, cfg)
+    _check_run_sizes(args.checkpoint, cfg)
     if args.seqs:
         dirs = sorted(d for d in os.listdir(args.seqs)
                       if os.path.isdir(os.path.join(args.seqs, d)))
@@ -172,8 +189,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import gradcheck
     failures = []
-    for name, err, tol in _gradcheck_suite():
+    for name, err, tol in gradcheck.run_suite(SplitMix64(20240)):
         status = "ok" if err < tol else "FAIL"
         print(f"{name:<26} max_rel_err={err:.3e}  tol={tol:.0e}  {status}")
         if err >= tol:
@@ -182,12 +200,6 @@ def cmd_gradcheck(args) -> int:
         print(f"error: gradient check failed for: {', '.join(failures)}", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
-
-
-def _gradcheck_suite():
-    """(name, max relative error, tolerance) for every differentiable op."""
-    from . import gradcheck
-    return gradcheck.run_suite(SplitMix64(20240))
 
 
 def cmd_ablation(args) -> int:
@@ -231,9 +243,7 @@ def cmd_ablation(args) -> int:
             return EXIT_DIVERGED
         try:
             os.makedirs(arm_dir, exist_ok=True)
-            _write_manifest(arm_dir, cfg, arm_texts[arm_name])
-            pipeline.save_checkpoint(result.params, os.path.join(arm_dir, "checkpoint.bin"))
-            pipeline.write_run_log(result.log, os.path.join(arm_dir, "runlog.csv"))
+            _write_run(arm_dir, cfg, arm_texts[arm_name], result)
             report = evalharness.evaluate(result.params, seqs, cfg)
             reports[arm_name] = report
             with open(os.path.join(arm_dir, "metrics.csv"), "w") as f:

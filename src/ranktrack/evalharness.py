@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import pipeline, synthdata
-from .geometry import Box, center_distance, iou, assign_labels
+from .geometry import Box, assign_labels, center_distance, decode_boxes, iou
 from .rng import SplitMix64
 
 SUCCESS_THRESHOLDS = np.round(np.arange(0, 21) * 0.05, 2)
@@ -58,10 +58,7 @@ def precision_curve(pred: list[Box], gt: list[Box],
 
 def dp_at(pred: list[Box], gt: list[Box], radius: float = 20.0) -> float:
     """Fraction of frames with center error within ``radius`` pixels."""
-    if len(pred) != len(gt):
-        raise ValueError("pred/gt length mismatch")
-    dists = np.array([center_distance(p, g) for p, g in zip(pred, gt)])
-    return float(np.mean(dists <= radius))
+    return precision_curve(pred, gt, (radius,))[0][1]
 
 
 def kendall_tau(a, b) -> float:
@@ -143,13 +140,9 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         pos = labels.pos_flat()
         if pos.size >= 2:
             p_vec = probs.reshape(-1)[pos]
-            offs = a_loc.data.reshape(4, -1)[:, pos]
-            pxf, pyf = px.reshape(-1)[pos], py.reshape(-1)[pos]
-            ious = []
-            for k in range(pos.size):
-                bx = Box(pxf[k] - offs[0, k], pyf[k] - offs[1, k],
-                         pxf[k] + offs[2, k], pyf[k] + offs[3, k])
-                ious.append(iou(bx, gt_s))
+            corners = decode_boxes(px.reshape(-1)[pos], py.reshape(-1)[pos],
+                                   a_loc.data.reshape(4, -1)[:, pos])
+            ious = [iou(Box(*b), gt_s) for b in zip(*corners)]
             if len(set(p_vec.tolist())) > 1 and len(set(ious)) > 1:
                 taus.append(kendall_tau(p_vec, np.array(ious)))
 
@@ -207,12 +200,6 @@ def curve_csv(curve: list[tuple[float, float]], x_name: str, y_name: str) -> str
 
 
 ARM_ORDER = ("baseline", "cr", "cr_igr_ori", "cr_igr")
-_ARM_FLAGS = {
-    "baseline": (False, False, False),
-    "cr": (True, False, False),
-    "cr_igr_ori": (True, False, True),
-    "cr_igr": (True, True, False),
-}
 
 
 def ablation_table(arm_reports: dict[str, MetricReport],

@@ -1,4 +1,4 @@
-"""Boxes, IoU, head-grid label assignment, and box encode/decode.
+"""Boxes, IoU, head-grid label assignment, and box decoding.
 
 The classifier/regressor head predicts one box per grid location
 (anchor-free). A location is labelled positive when it falls inside the
@@ -145,14 +145,13 @@ POSITIVE, NEGATIVE, IGNORE = 1, 0, -1
 
 @dataclass
 class LabelMap:
-    """Per-location class in {POSITIVE, NEGATIVE, IGNORE} plus regression targets.
+    """Per-location class in {POSITIVE, NEGATIVE, IGNORE}.
 
-    ``targets`` holds (left, top, right, bottom) pixel distances to the
-    ground-truth sides; only rows flagged positive are meaningful.
+    Regression is supervised by the IoU of each positive cell's decoded
+    box with the ground truth, so no side-distance targets are kept.
     """
 
     cls: np.ndarray       # (H, W) int8
-    targets: np.ndarray   # (4, H, W) float64
 
     @property
     def n_pos(self) -> int:
@@ -184,22 +183,18 @@ def assign_labels(grid: HeadGrid, gt: Box, shrink: float = POSITIVE_SHRINK) -> L
     cls = np.full((grid.height, grid.width), NEGATIVE, dtype=np.int8)
     cls[in_full] = IGNORE
     cls[in_inner] = POSITIVE
-
-    targets = np.stack([px - gt.x1, py - gt.y1, gt.x2 - px, gt.y2 - py])
-    return LabelMap(cls=cls, targets=targets)
+    return LabelMap(cls=cls)
 
 
-def encode(point: tuple[float, float], box: Box) -> tuple[float, float, float, float]:
-    """Distances (l, t, r, b) from a point to the box sides."""
-    px, py = point
-    return (px - box.x1, py - box.y1, box.x2 - px, box.y2 - py)
+def decode_boxes(px, py, offsets):
+    """Corners (x1, y1, x2, y2) of the boxes predicted at grid points
+    (px, py) from their side offsets (left, top, right, bottom).
 
-
-def decode(point: tuple[float, float], offsets) -> Box:
-    """Box from side distances at a point; negative offsets clamp to 0."""
-    px, py = point
-    l, t, r, b = (max(0.0, float(v)) for v in offsets)
-    return Box(px - l, py - t, px + r, py + b)
+    Elementwise on scalars, arrays or tensors alike; the head's offsets
+    are non-negative, so every decoded box has non-negative extents.
+    """
+    left, top, right, bottom = offsets
+    return px - left, py - top, px + right, py + bottom
 
 
 def iou_tensor(x1: Tensor, y1: Tensor, x2: Tensor, y2: Tensor, gt: Box) -> Tensor:
@@ -217,12 +212,3 @@ def iou_tensor(x1: Tensor, y1: Tensor, x2: Tensor, y2: Tensor, gt: Box) -> Tenso
     union = nm.sub(nm.add(pred_area, gt.area), inter)
     return nm.div(inter, union)
 
-
-def iou_loss(pred: Tensor, gt: Box) -> Tensor:
-    """1 - IoU for a (4,)-shaped [x1, y1, x2, y2] prediction."""
-    if pred.data.shape != (4,):
-        raise ValueError("iou_loss expects a (4,) coordinate tensor")
-    if gt.area <= 0.0:
-        raise ValueError("iou_loss requires a ground-truth box with area")
-    v = iou_tensor(pred[0], pred[1], pred[2], pred[3], gt)
-    return nm.sub(1.0, v)

@@ -9,10 +9,11 @@ Two conventions keep checks honest where ops branch on data:
 * sampled points keep comparison margins (pairwise gaps, distance to
   thresholds) far above the step size so no branch flips inside +-h;
 * the IoU-guided ranking loss deliberately freezes the lower-ranked IoU
-  of each confidence-ordered pair, so its oracle evaluates a pinned
-  variant: pair sets and frozen values are taken from the base point.
-  The pinned variant matches the real op's value and gradient at the
-  base point exactly, which the test suite asserts separately.
+  of each confidence-ordered pair, so its oracle pins the rank plan
+  (``losses.RankPlan``: hard negatives, pair sets and frozen values) at
+  the base point and passes it back into every perturbed evaluation of
+  the same loss function. Passed back at the base point, the plan gives
+  the bits of a fresh evaluation, which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import correlation, losses, pipeline, synthdata
 from . import numerics as nm
-from .geometry import Box, LabelMap, assign_labels, iou_loss
+from .geometry import Box, LabelMap, assign_labels, iou_tensor
 from .numerics import Tensor, finite_diff_check
 from .rng import SplitMix64
 
@@ -113,7 +114,7 @@ def _random_labels(rng: SplitMix64, h: int, w: int) -> LabelMap:
         codes[rng.randint(h * w)] = 1
     if not np.any(codes == 0):
         codes[(np.flatnonzero(codes == 1)[0] + 1) % (h * w)] = 0
-    return LabelMap(cls=codes.reshape(h, w), targets=np.zeros((4, h, w)))
+    return LabelMap(cls=codes.reshape(h, w))
 
 
 def check_cross_entropy(rng: SplitMix64) -> float:
@@ -131,7 +132,8 @@ def check_iou_loss(rng: SplitMix64) -> float:
         # overlapping but not edge-tied prediction
         base = np.array([20.0 + r.uniform(-8, 8), 30.0 + r.uniform(-8, 8),
                          60.0 + r.uniform(-8, 8), 75.0 + r.uniform(-8, 8)])
-        return finite_diff_check(lambda t: iou_loss(t, gt), Tensor(base))
+        return finite_diff_check(
+            lambda t: nm.sub(1.0, iou_tensor(t[0], t[1], t[2], t[3], gt)), Tensor(base))
     return _max_over_points(one, rng)
 
 
@@ -155,48 +157,32 @@ def check_rank_cls_loss(rng: SplitMix64) -> float:
     return _max_over_points(one, rng)
 
 
-def pinned_rank_iou(p0: np.ndarray, v0: np.ndarray, gamma: float):
-    """Frozen-oracle variant of the IoU-guided ranking loss.
+def _rank_point(r: SplitMix64) -> tuple[int, Tensor]:
+    """n positives packed as [p, v], with well-separated values."""
+    n = 4 + r.randint(3)
+    p0 = _separated(r.spawn(1), n, 0.05, 0.95, 1e-3)
+    v0 = _separated(r.spawn(2), n, 0.05, 0.95, 1e-3)
+    return n, Tensor(np.concatenate([p0, v0]))
 
-    Pair sets and the frozen (constant) IoU of each confidence-ordered
-    pair are pinned at the base point, matching what the real op's
-    backward pass computes there. Input is packed [p, v].
-    """
-    n = p0.size
-    i1, j1 = np.nonzero(v0[:, None] > v0[None, :])
-    i2, j2 = np.nonzero(p0[:, None] > p0[None, :])
-    frozen = v0[j2].copy()
 
-    def op(x: Tensor) -> Tensor:
-        p, v = x[:n], x[n:]
-        s1 = nm.sum_(nm.exp(nm.mul(nm.sub(p[i1], p[j1]), -gamma))) if i1.size else Tensor(0.0)
-        s2 = nm.sum_(nm.exp(nm.mul(nm.sub(v[i2], Tensor(frozen)), -gamma))) if i2.size else Tensor(0.0)
-        return nm.mul(nm.add(s1, s2), 1.0 / n)
-
-    return op
+def _pos_batch(x: Tensor, n: int) -> losses.RankBatch:
+    return losses.RankBatch(pos_scores=x[:n], neg_scores=Tensor(np.zeros(0)), pos_ious=x[n:])
 
 
 def check_rank_iou_loss(rng: SplitMix64) -> float:
     def one(r):
-        n = 4 + r.randint(3)
-        p0 = _separated(r.spawn(1), n, 0.05, 0.95, 1e-3)
-        v0 = _separated(r.spawn(2), n, 0.05, 0.95, 1e-3)
-        op = pinned_rank_iou(p0, v0, gamma=3.0)
-        return finite_diff_check(op, Tensor(np.concatenate([p0, v0])), step=1e-6)
+        n, x0 = _rank_point(r)
+        plan = losses.rank_plan(_pos_batch(x0, n))
+        return finite_diff_check(
+            lambda x: losses.rank_iou_loss(_pos_batch(x, n), 3.0, plan), x0, step=1e-6)
     return _max_over_points(one, rng)
 
 
 def check_rank_iou_loss_ori(rng: SplitMix64) -> float:
     def one(r):
-        n = 4 + r.randint(3)
-        p0 = _separated(r.spawn(1), n, 0.05, 0.95, 1e-3)
-        v0 = _separated(r.spawn(2), n, 0.05, 0.95, 1e-3)
-
-        def op(x: Tensor) -> Tensor:
-            batch = losses.RankBatch(pos_scores=x[:n], neg_scores=Tensor(np.zeros(0)),
-                                     pos_ious=x[n:])
-            return losses.rank_iou_loss_ori(batch, alpha=4.0)
-        return finite_diff_check(op, Tensor(np.concatenate([p0, v0])), step=1e-6)
+        n, x0 = _rank_point(r)
+        return finite_diff_check(
+            lambda x: losses.rank_iou_loss_ori(_pos_batch(x, n), alpha=4.0), x0, step=1e-6)
     return _max_over_points(one, rng)
 
 
@@ -211,71 +197,32 @@ def check_combine(rng: SplitMix64) -> float:
 # -- end-to-end -----------------------------------------------------------------
 
 def end_to_end_error(rng: SplitMix64, n_weights: int = 20, step: float = 1e-5) -> float:
-    """Central-difference check of the full training loss against the
-    recorded gradients, on a random weight sample at a random init.
+    """Central-difference check of the training loss, ``pipeline.image_loss``
+    with every loss switched on, against its recorded gradients, on a
+    random weight sample at a random init.
 
-    The IoU-ranking term keeps the freeze convention: perturbed
-    evaluations rebuild the loss with pair sets and frozen values pinned
-    at the base point (otherwise the intentionally-dropped gradient term
-    would register as an error).
+    The IoU-ranking term keeps the freeze convention: every perturbed
+    evaluation gets the base evaluation's rank plan (otherwise the
+    intentionally-dropped gradient term would register as an error).
     """
     cfg = pipeline.TrainConfig(seed=5, template_size=64, search_size=128,
                                rank_cls=True, rank_iou=True, iterations=1,
                                train_sequences=2, frames_per_sequence=3,
                                eval_sequences=1, eval_frames=2)
     cfg.validate()
-    pool = pipeline.training_pool(cfg)
-    seq = pool[0]
+    seq = pipeline.training_pool(cfg)[0]
     template, search, gt_s, _ = synthdata.crop_pair(seq, 1, cfg.template_size,
                                                     cfg.search_size)
     grid = pipeline.head_grid(cfg)
     mp = pipeline.init_params(cfg, rng.spawn(7))
-    labels = assign_labels(grid, gt_s)
-    if labels.n_pos < 2:
+    if assign_labels(grid, gt_s).n_pos < 2:
         raise RuntimeError("end-to-end check needs >= 2 positive locations")
 
-    def build_loss(pin: dict | None):
-        a_cls, a_loc = pipeline.forward(mp, template, search)
-        cls_term = losses.cross_entropy(a_cls, labels)
-        pos = labels.pos_flat()
-        px, py = grid.pixel_xy()
-        pxf, pyf = px.reshape(-1)[pos], py.reshape(-1)[pos]
-        offs = nm.reshape(a_loc, (4, grid.height * grid.width))
-        from .geometry import iou_tensor
-        x1 = nm.sub(Tensor(pxf), offs[0][pos])
-        y1 = nm.sub(Tensor(pyf), offs[1][pos])
-        x2 = nm.add(Tensor(pxf), offs[2][pos])
-        y2 = nm.add(Tensor(pyf), offs[3][pos])
-        v = iou_tensor(x1, y1, x2, y2, gt_s)
-        loc_term = nm.mean(nm.sub(1.0, v))
-        p = losses.foreground_probs(a_cls)
-        p_pos, p_neg = p[pos], p[labels.neg_flat()]
+    def loss(plan=None) -> losses.LossBreakdown:
+        return pipeline.image_loss(cfg, mp, template, search, gt_s, grid, plan=plan)[0]
 
-        if pin is None:
-            hard_idx = np.flatnonzero(p_neg.data > cfg.tau_neg)
-            i1, j1 = np.nonzero(v.data[:, None] > v.data[None, :])
-            i2, j2 = np.nonzero(p_pos.data[:, None] > p_pos.data[None, :])
-            pinned = {"hard_idx": hard_idx, "i1": i1, "j1": j1, "i2": i2, "j2": j2,
-                      "frozen": v.data[j2].copy()}
-        else:
-            pinned = pin
-
-        rc = Tensor(0.0)
-        if pinned["hard_idx"].size:
-            p_plus, p_minus = losses.expectations(p_pos, p_neg[pinned["hard_idx"]])
-            rc = losses.rank_cls_loss(p_minus, p_plus, cfg.alpha, cfg.beta)
-        i1, j1, i2 = pinned["i1"], pinned["j1"], pinned["i2"]
-        s1 = nm.sum_(nm.exp(nm.mul(nm.sub(p_pos[i1], p_pos[j1]), -cfg.gamma))) \
-            if i1.size else Tensor(0.0)
-        s2 = nm.sum_(nm.exp(nm.mul(nm.sub(v[i2], Tensor(pinned["frozen"])), -cfg.gamma))) \
-            if i2.size else Tensor(0.0)
-        ri = nm.mul(nm.add(s1, s2), 1.0 / pos.size)
-        total = losses.combine(cls_term, loc_term, rc, ri,
-                               weights=(cfg.w_rpn, cfg.w_rank_cls, cfg.w_rank_iou)).total
-        return total, pinned
-
-    base_loss, pinned = build_loss(None)
-    nm.backward(base_loss)
+    base = loss()
+    nm.backward(base.total)
 
     names = sorted(mp.params)
     picks = []
@@ -290,9 +237,9 @@ def end_to_end_error(rng: SplitMix64, n_weights: int = 20, step: float = 1e-5) -
         analytic = float(t.grad.reshape(-1)[flat])
         orig = float(t.data.reshape(-1)[flat])
         t.data.reshape(-1)[flat] = orig + step
-        f_plus = build_loss(pinned)[0].item()
+        f_plus = loss(base.plan).total.item()
         t.data.reshape(-1)[flat] = orig - step
-        f_minus = build_loss(pinned)[0].item()
+        f_minus = loss(base.plan).total.item()
         t.data.reshape(-1)[flat] = orig
         numeric = (f_plus - f_minus) / (2 * step)
         err = abs(analytic - numeric) / max(1e-12, abs(analytic) + abs(numeric))

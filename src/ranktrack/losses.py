@@ -98,13 +98,12 @@ def foreground_probs(a_cls: Tensor) -> Tensor:
     return nm.reshape(probs[1], (h * w,))
 
 
-def hard_negative_set(neg_scores: Tensor, tau_neg: float = DEFAULT_TAU_NEG) -> Tensor:
-    """Negative confidences strictly above ``tau_neg``, order preserved.
+def hard_negative_set(neg_scores: Tensor, tau_neg: float = DEFAULT_TAU_NEG) -> np.ndarray:
+    """Indices of the negative confidences strictly above ``tau_neg``, in order.
 
     An empty result is valid and triggers the skip rule upstream.
     """
-    idx = np.flatnonzero(neg_scores.data > tau_neg)
-    return neg_scores[idx]
+    return np.flatnonzero(neg_scores.data > tau_neg)
 
 
 def expectations(pos_scores: Tensor, hard_negs: Tensor) -> tuple[Tensor, Tensor]:
@@ -147,7 +146,36 @@ def _pair_indices(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(gt)
 
 
-def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA) -> Tensor:
+@dataclass
+class RankPlan:
+    """The data-dependent selections of one image's rank terms.
+
+    ``hard_idx`` indexes the hard negatives in ``neg_scores``;
+    ``iou_pairs`` are the positive pairs (i, j) with v_i > v_j and
+    ``conf_pairs`` those with p_i > p_j; ``frozen_v`` holds v_j of each
+    confidence-ordered pair, the constant side of the second IGR sum. A
+    plan taken at one point and passed back in at another pins these
+    choices, so a finite-difference oracle sees the function whose
+    gradient the base point records.
+    """
+
+    hard_idx: np.ndarray
+    iou_pairs: tuple[np.ndarray, np.ndarray]
+    conf_pairs: tuple[np.ndarray, np.ndarray]
+    frozen_v: np.ndarray
+
+
+def rank_plan(batch: RankBatch, tau_neg: float = DEFAULT_TAU_NEG) -> RankPlan:
+    """``batch``'s own plan; negatives strictly above ``tau_neg`` are hard."""
+    v = batch.pos_ious.data
+    conf_pairs = _pair_indices(batch.pos_scores.data)
+    return RankPlan(hard_idx=hard_negative_set(batch.neg_scores, tau_neg),
+                    iou_pairs=_pair_indices(v), conf_pairs=conf_pairs,
+                    frozen_v=v[conf_pairs[1]])
+
+
+def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA,
+                  plan: RankPlan | None = None) -> Tensor:
     """Pairwise exponential loss aligning confidence order with IoU order.
 
     Over positive locations:
@@ -158,25 +186,23 @@ def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA) -> Tensor:
     all divided by the positive count. In the second sum v_j is frozen
     (treated as a constant during backprop) and only v_i is optimized;
     otherwise the loss could be lowered by degrading the j-th box.
-    Strict comparisons: tied pairs contribute to neither sum.
+    Strict comparisons: tied pairs contribute to neither sum. The pairs
+    and frozen values come from ``plan``, by default the batch's own.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     n = batch.n_pos
     if n <= 1:
         return Tensor(0.0)
+    if plan is None:
+        plan = rank_plan(batch)
     p, v = batch.pos_scores, batch.pos_ious
 
-    i1, j1 = _pair_indices(v.data)
+    i1, j1 = plan.iou_pairs
     s1 = nm.sum_(nm.exp(nm.mul(nm.sub(p[i1], p[j1]), -gamma))) if i1.size else Tensor(0.0)
-
-    i2, j2 = _pair_indices(p.data)
-    if i2.size:
-        frozen_vj = Tensor(v.data[j2])
-        s2 = nm.sum_(nm.exp(nm.mul(nm.sub(v[i2], frozen_vj), -gamma)))
-    else:
-        s2 = Tensor(0.0)
-
+    i2 = plan.conf_pairs[0]
+    s2 = nm.sum_(nm.exp(nm.mul(nm.sub(v[i2], Tensor(plan.frozen_v)), -gamma))) \
+        if i2.size else Tensor(0.0)
     return nm.mul(nm.add(s1, s2), 1.0 / n)
 
 
@@ -224,7 +250,8 @@ def two_stage_ce(a_cls: Tensor, labels: LabelMap,
 
 @dataclass
 class LossBreakdown:
-    """One image's loss terms; ``total`` is the optimizable scalar."""
+    """One image's loss terms; ``total`` is the optimizable scalar and
+    ``plan`` the rank plan the terms were built with, when known."""
 
     cls: Tensor
     loc: Tensor
@@ -232,6 +259,7 @@ class LossBreakdown:
     rank_iou: Tensor
     total: Tensor
     skipped_rank_cls: bool = False
+    plan: RankPlan | None = None
 
     def floats(self) -> dict[str, float]:
         return {

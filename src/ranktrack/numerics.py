@@ -1,15 +1,18 @@
 """Float64 tensors with recorded reverse-mode differentiation.
 
 Every differentiable quantity in this library flows through the ops
-here. The arithmetic surface is deliberately small: add, mul, matmul,
-valid conv2d, relu, sigmoid, exp, log, softplus, concat, sum/mean/max
-reductions, elementwise maximum, and softmax. Shape plumbing (reshape,
-transpose, indexing) moves data without arithmetic. Everything else in
-the repo composes from these, which keeps the differentiation surface
-auditable. Two layers are recorded as single nodes that give the bits of
-their compositions: ``conv2d(x, k, stride, bias=b, relu=True)``, a conv
-layer with its bias add and ReLU, and ``correlation.pw_corr``, the
-attention of template features over search features.
+here. The arithmetic surface is deliberately small: add, mul, valid
+conv2d, relu, exp, log, softplus, sum/mean/max reductions, elementwise
+maximum/minimum, and softmax. Shape plumbing (reshape, indexing) moves
+data without arithmetic. Everything else in the repo composes from
+these, which keeps the differentiation surface auditable. ``matmul``,
+``concat`` and ``transpose`` are not used by the model: they are the
+reference composition that the tests hold ``correlation.pw_corr`` and
+``correlation.dw_corr`` to, bit for bit. Two layers are recorded as
+single nodes that give the bits of their compositions:
+``conv2d(x, k, stride, bias=b, relu=True)``, a conv layer with its bias
+add and ReLU, and ``correlation.pw_corr``, the attention of template
+features over search features.
 
 All storage is float64. Every op validates that its output is finite
 and raises :class:`NonFiniteError` instead of propagating NaN/Inf.
@@ -59,7 +62,6 @@ __all__ = [
     "matmul",
     "conv2d",
     "relu",
-    "sigmoid",
     "exp",
     "log",
     "softplus",
@@ -138,15 +140,6 @@ class Tensor:
         self._backward_fn = None
         self._op = "leaf"
 
-    # -- basic introspection -------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
@@ -158,57 +151,19 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    # -- operator sugar ------------------------------------------------------
+    # -- operator sugar: what ``geometry.decode_boxes`` and indexing use ----
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def backward(self) -> None:
-        backward(self)
 
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-as_tensor = _as_tensor
 
 
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
@@ -289,17 +244,6 @@ def relu(a) -> Tensor:
         return (g * mask,)
 
     return _from_op(np.where(mask, a.data, 0.0), (a,), bw, "relu")
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _from_op(out, (a,), bw, "sigmoid")
 
 
 def exp(a) -> Tensor:

@@ -23,7 +23,7 @@ import numpy as np
 from . import configio, correlation, losses, synthdata
 from . import numerics as nm
 from .configio import ConfigError
-from .geometry import Box, HeadGrid, LabelMap, assign_labels, iou_tensor
+from .geometry import Box, HeadGrid, assign_labels, decode_boxes, iou_tensor
 from .numerics import Tensor
 from .rng import SplitMix64
 
@@ -252,6 +252,7 @@ def forward(mp: ModelParams, template: np.ndarray | Tensor, search: np.ndarray,
 
 def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
                search: np.ndarray, gt: Box, grid: HeadGrid, enable_rank: bool = True,
+               plan: losses.RankPlan | None = None,
                ) -> tuple[losses.LossBreakdown, float | None] | None:
     """Loss terms for one (template, search, gt) triple, plus the
     classification ranking margin P_plus - P_minus (None when that term
@@ -260,7 +261,10 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
     Returns None when the ground truth captures no positive grid
     location (the sample cannot supervise regression). The rank terms
     follow the configured switches; an image with no hard negatives
-    contributes rank_cls = 0 and is flagged skipped.
+    contributes rank_cls = 0 and is flagged skipped. The rank terms take
+    their hard negatives, pairs and frozen IoUs from ``plan``, by default
+    a fresh ``losses.rank_plan`` of this evaluation; the breakdown's
+    ``plan`` is the one used.
     """
     labels = assign_labels(grid, gt)
     if labels.n_pos == 0:
@@ -272,44 +276,41 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
 
     pos = labels.pos_flat()
     px, py = grid.pixel_xy()
-    px, py = px.reshape(-1)[pos], py.reshape(-1)[pos]
-    g = grid.height * grid.width
-    offs = nm.reshape(a_loc, (4, g))
-    l, t = offs[0][pos], offs[1][pos]
-    r, b = offs[2][pos], offs[3][pos]
-    x1 = nm.sub(Tensor(px), l)
-    y1 = nm.sub(Tensor(py), t)
-    x2 = nm.add(Tensor(px), r)
-    y2 = nm.add(Tensor(py), b)
+    offs = nm.reshape(a_loc, (4, grid.height * grid.width))
+    x1, y1, x2, y2 = decode_boxes(Tensor(px.reshape(-1)[pos]), Tensor(py.reshape(-1)[pos]),
+                                  [offs[k][pos] for k in range(4)])
     v_iou = iou_tensor(x1, y1, x2, y2, gt)
     loc_term = nm.mean(nm.sub(1.0, v_iou))
 
     p_fg = losses.foreground_probs(a_cls)
     batch = losses.RankBatch(pos_scores=p_fg[pos], neg_scores=p_fg[labels.neg_flat()],
                              pos_ious=v_iou)
+    if plan is None:
+        plan = losses.rank_plan(batch, cfg.tau_neg)
 
     rank_cls_term: Tensor | float = 0.0
     skipped = False
     margin: float | None = None
     if cfg.rank_cls and enable_rank:
-        hard = losses.hard_negative_set(batch.neg_scores, cfg.tau_neg)
-        if hard.data.size == 0:
+        if plan.hard_idx.size == 0:
             skipped = True
         else:
-            p_plus, p_minus = losses.expectations(batch.pos_scores, hard)
+            p_plus, p_minus = losses.expectations(batch.pos_scores,
+                                                  batch.neg_scores[plan.hard_idx])
             rank_cls_term = losses.rank_cls_loss(p_minus, p_plus, cfg.alpha, cfg.beta)
             margin = p_plus.item() - p_minus.item()
 
     rank_iou_term: Tensor | float = 0.0
     if enable_rank:
         if cfg.rank_iou:
-            rank_iou_term = losses.rank_iou_loss(batch, cfg.gamma)
+            rank_iou_term = losses.rank_iou_loss(batch, cfg.gamma, plan)
         elif cfg.rank_iou_ori:
             rank_iou_term = losses.rank_iou_loss_ori(batch, cfg.ori_alpha)
 
     breakdown = losses.combine(cls_term, loc_term, rank_cls_term, rank_iou_term,
                                skipped_rank_cls=skipped,
                                weights=(cfg.w_rpn, cfg.w_rank_cls, cfg.w_rank_iou))
+    breakdown.plan = plan
     return breakdown, margin
 
 
@@ -333,45 +334,29 @@ class TrainResult:
     seconds: float
 
 
+def _pool(cfg: TrainConfig, seed: int, domain: int, count: int,
+          frames: int) -> list[synthdata.Sequence]:
+    master = SplitMix64(seed)
+    return [synthdata.gen_sequence(synthdata.SequenceSpec(
+        seed=master.spawn(domain, i).next_u64(),
+        frames=frames,
+        image_size=cfg.image_size,
+        shape=synthdata.SHAPE_FAMILIES[i % len(synthdata.SHAPE_FAMILIES)],
+        target_size=cfg.target_size,
+        distractors=cfg.distractors,
+        similarity=cfg.similarity,
+        clutter=cfg.clutter,
+        motion_sigma=cfg.motion_sigma,
+    )) for i in range(count)]
+
+
 def training_pool(cfg: TrainConfig) -> list[synthdata.Sequence]:
-    master = SplitMix64(cfg.seed)
-    pool = []
-    for i in range(cfg.train_sequences):
-        srng = master.spawn(_DOM_DATA, i)
-        spec = synthdata.SequenceSpec(
-            seed=srng.next_u64(),
-            frames=cfg.frames_per_sequence,
-            image_size=cfg.image_size,
-            shape=synthdata.SHAPE_FAMILIES[i % len(synthdata.SHAPE_FAMILIES)],
-            target_size=cfg.target_size,
-            distractors=cfg.distractors,
-            similarity=cfg.similarity,
-            clutter=cfg.clutter,
-            motion_sigma=cfg.motion_sigma,
-        )
-        pool.append(synthdata.gen_sequence(spec))
-    return pool
+    return _pool(cfg, cfg.seed, _DOM_DATA, cfg.train_sequences, cfg.frames_per_sequence)
 
 
 def eval_pool(cfg: TrainConfig) -> list[synthdata.Sequence]:
     """Held-out sequences; seeded independently of the training pool."""
-    master = SplitMix64(cfg.eval_seed)
-    pool = []
-    for i in range(cfg.eval_sequences):
-        srng = master.spawn(_DOM_EVAL_DATA, i)
-        spec = synthdata.SequenceSpec(
-            seed=srng.next_u64(),
-            frames=cfg.eval_frames,
-            image_size=cfg.image_size,
-            shape=synthdata.SHAPE_FAMILIES[i % len(synthdata.SHAPE_FAMILIES)],
-            target_size=cfg.target_size,
-            distractors=cfg.distractors,
-            similarity=cfg.similarity,
-            clutter=cfg.clutter,
-            motion_sigma=cfg.motion_sigma,
-        )
-        pool.append(synthdata.gen_sequence(spec))
-    return pool
+    return _pool(cfg, cfg.eval_seed, _DOM_EVAL_DATA, cfg.eval_sequences, cfg.eval_frames)
 
 
 def _snapshot(mp: ModelParams, it: int, last: LogRow | None) -> dict:
@@ -535,25 +520,44 @@ def save_checkpoint(mp: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
+    """Read a ``save_checkpoint`` file; a damaged one raises ValueError."""
     with open(path, "rb") as f:
+        def read(n: int) -> bytes:
+            data = f.read(n)
+            if len(data) != n:
+                raise ValueError(f"truncated checkpoint: {path}")
+            return data
+
+        def u32s(count: int = 1) -> tuple[int, ...]:
+            return struct.unpack(f"<{count}I", read(4 * count))
+
         if f.read(4) != _CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = u32s()
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = dict(kv.split("=", 1) for kv in f.read(hlen).decode().split(";"))
+        header = dict(kv.split("=", 1) for kv in read(u32s()[0]).decode().split(";"))
+        if set(header) != {"corr_mode", "in_channels"}:
+            raise ValueError(f"bad checkpoint header: {path}")
         mp = ModelParams(corr_mode=header["corr_mode"], in_channels=int(header["in_channels"]))
-        (count,) = struct.unpack("<I", f.read(4))
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode()
-            (ndim,) = struct.unpack("<I", f.read(4))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            raw = f.read(8 * int(np.prod(shape)))
+        for _ in range(u32s()[0]):
+            name = read(u32s()[0]).decode()
+            shape = u32s(u32s()[0])
+            raw = read(8 * int(np.prod(shape)))
             data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
             mp.params[name] = Tensor(data, requires_grad=True)
     return mp
+
+
+def check_params(mp: ModelParams, cfg: TrainConfig) -> None:
+    """Raise ValueError unless ``mp`` is the model ``cfg`` builds: the same
+    correlation mode, input channels and tensor names and shapes."""
+    if (mp.corr_mode, mp.in_channels) != (cfg.corr_mode, cfg.in_channels):
+        raise ValueError(f"checkpoint has corr_mode={mp.corr_mode}, in_channels="
+                         f"{mp.in_channels}; the config has corr_mode={cfg.corr_mode}, "
+                         f"in_channels={cfg.in_channels}")
+    if {n: t.data.shape for n, t in mp.leaves()} != dict(_conv_shapes(cfg)):
+        raise ValueError("checkpoint tensors do not match the config's model")
 
 
 # -- tracking ---------------------------------------------------------------------
@@ -599,9 +603,7 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
     score = probs if window_influence <= 0 else \
         (1.0 - window_influence) * probs + window_influence * hann2d(grid.height)
     r, c = (int(i) for i in np.unravel_index(int(np.argmax(score)), score.shape))
-    offs = a_loc.data[:, r, c]
-    box_search = Box(px[r, c] - max(offs[0], 0.0), py[r, c] - max(offs[1], 0.0),
-                     px[r, c] + max(offs[2], 0.0), py[r, c] + max(offs[3], 0.0))
+    box_search = Box(*decode_boxes(px[r, c], py[r, c], a_loc.data[:, r, c]))
     h_img, w_img = frame.shape[1:]
     box = tf.to_image(box_search).clipped(float(w_img), float(h_img))
     if box.area <= 0.0:  # degenerate prediction: hold the previous box

@@ -1,4 +1,9 @@
-from ranktrack import cli, pipeline
+import numpy as np
+import pytest
+
+from ranktrack import cli, configio, pipeline
+from ranktrack.numerics import Tensor
+from ranktrack.rng import SplitMix64
 
 from conftest import eval_argv, quick_config
 
@@ -18,3 +23,63 @@ def test_eval_tracks_each_sequence_once(tmp_path, monkeypatch):
     assert len({id(seq) for seq in calls}) == cfg.eval_sequences
     for name in ("metrics.csv", "success.csv", "precision.csv"):
         assert (tmp_path / "out" / name).stat().st_size > 0
+
+
+def _eval_exit(capsys, argv) -> tuple[int, str]:
+    code = cli.main(argv)
+    return code, capsys.readouterr().err
+
+
+def _only_error_line(err: str, text: str) -> None:
+    assert err.count("\n") == 1 and err.startswith("error: ") and text in err, err
+
+
+class TestBadCheckpoints:
+    """`eval` rejects a checkpoint that is damaged or belongs to another model
+    with one error line and EXIT_CONFIG instead of a traceback or metrics."""
+
+    @pytest.mark.parametrize("keep", [10, 60, -8])
+    def test_truncated(self, tmp_path, capsys, keep):
+        argv = eval_argv(tmp_path, quick_config())
+        ckpt = tmp_path / "init.bin"
+        ckpt.write_bytes(ckpt.read_bytes()[:keep])
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, "truncated checkpoint")
+
+    def test_corr_mode_mismatch(self, tmp_path, capsys):
+        argv = eval_argv(tmp_path, quick_config())
+        pipeline.save_checkpoint(
+            pipeline.init_params(quick_config(corr_mode="pw"), SplitMix64(5)),
+            str(tmp_path / "init.bin"))
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, "corr_mode=pw")
+
+    def test_tensor_shape_mismatch(self, tmp_path, capsys):
+        cfg = quick_config()
+        argv = eval_argv(tmp_path, cfg)
+        mp = pipeline.init_params(cfg, SplitMix64(5))
+        mp.params["cls2_b"] = Tensor(np.zeros((3, 1, 1)), requires_grad=True)
+        pipeline.save_checkpoint(mp, str(tmp_path / "init.bin"))
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, "checkpoint tensors do not match")
+
+    def test_crop_size_mismatch(self, tmp_path, capsys):
+        trained = quick_config(iterations=1, eval_sequences=2, eval_frames=3)
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(configio.format_kv(trained.to_kv()))
+        run_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
+        ckpt = str(run_dir / "checkpoint.bin")
+        argv = eval_argv(tmp_path, quick_config(template_size=72, search_size=144,
+                                                eval_sequences=2, eval_frames=3))
+        argv[argv.index("--checkpoint") + 1] = ckpt
+        capsys.readouterr()
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, "template_size=64")
+        # the same checkpoint under its own config evaluates
+        assert cli.main(["eval", "--checkpoint", ckpt, "--config", str(cfg_path),
+                         "--out", str(tmp_path / "ok")]) == cli.EXIT_OK
