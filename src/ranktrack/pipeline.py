@@ -594,7 +594,6 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
     ``prev``.
     """
     grid = head_grid(cfg)
-    px, py = grid.pixel_xy()
     tf = search_transform(prev, cfg)
     search = synthdata.crop_window(frame, tf.cx, tf.cy, tf.side, cfg.search_size)
 
@@ -603,7 +602,9 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
     score = probs if window_influence <= 0 else \
         (1.0 - window_influence) * probs + window_influence * hann2d(grid.height)
     r, c = (int(i) for i in np.unravel_index(int(np.argmax(score)), score.shape))
-    box_search = Box(*decode_boxes(px[r, c], py[r, c], a_loc.data[:, r, c]))
+    # the chosen cell's pixel alone, with the bytes of grid.pixel_xy()[r, c]
+    box_search = Box(*decode_boxes(grid.offset_x + grid.stride * c,
+                                   grid.offset_y + grid.stride * r, a_loc.data[:, r, c]))
     h_img, w_img = frame.shape[1:]
     box = tf.to_image(box_search).clipped(float(w_img), float(h_img))
     if box.area <= 0.0:  # degenerate prediction: hold the previous box

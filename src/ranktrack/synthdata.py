@@ -12,6 +12,10 @@ objects come from the other families.
 Frames are RGB float rasters in [0, 1], shaped (3, H, W). Motion is an
 independent per-object random walk with step sigma in pixels, clamped
 to keep boxes inside the image.
+
+A generated frame is mostly flat background, so ``PaintedFrames`` keeps
+its colour plus each painted object's window, about a seventh of the
+dense raster, and rebuilds the painted bytes on every read.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import abc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,9 +68,39 @@ class SequenceSpec:
             raise ValueError("sigmas must be >= 0")
 
 
+class PaintedFrames(abc.Sequence):
+    """Frames of a generated sequence as one background colour plus, per
+    frame, the (rows, cols, pixels) windows of the painted objects.
+
+    Each window holds the final pixels of its rows and columns, so pasting
+    them over the background in any order rebuilds the painted raster.
+    Built frames are not cached: a cache would bring the memory back.
+    """
+
+    def __init__(self, size: int, bg: np.ndarray,
+                 windows: list[list[tuple[slice, slice, np.ndarray]]]):
+        self._size, self._bg, self._windows = size, bg, windows
+
+    def __len__(self) -> int:
+        return len(self._windows)
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        """A fresh read-only (3, H, W) float64 raster; a write raises
+        instead of being lost. A deep copy gives a list of writable ones."""
+        img = np.empty((3, self._size, self._size))
+        img[:] = self._bg[:, None, None]
+        for rows, cols, pixels in self._windows[t]:
+            img[:, rows, cols] = pixels
+        img.flags.writeable = False
+        return img
+
+    def __deepcopy__(self, memo) -> list[np.ndarray]:
+        return [frame.copy() for frame in self]
+
+
 @dataclass
 class Sequence:
-    frames: list[np.ndarray]             # each (3, H, W) float64 in [0, 1]
+    frames: abc.Sequence[np.ndarray]     # (3, H, W) float64 in [0, 1]; PaintedFrames if generated
     gt: list[Box]                        # target box per frame
     distractor_boxes: list[list[Box]]    # per frame, one box per distractor
     spec: SequenceSpec = field(default=None)  # echo of the generating spec
@@ -104,16 +139,19 @@ def _shape_window(box: Box, h: int, w: int) -> tuple[slice, slice]:
 
 
 def _paint(img: np.ndarray, shape: str, box: Box, color: np.ndarray,
-           noise: SplitMix64, noise_sigma: float) -> None:
+           noise: SplitMix64, noise_sigma: float) -> tuple[slice, slice] | None:
+    """Paint a noisy filled shape into ``img``; returns the window it may
+    have touched, or None when no pixel center fell inside the shape."""
     rows, cols = _shape_window(box, img.shape[1], img.shape[2])
     mask = _shape_mask(shape, np.arange(rows.start, rows.stop) + 0.5,
                        np.arange(cols.start, cols.stop) + 0.5, box)
     count = int(mask.sum())
     if count == 0:
-        return
+        return None
     for ch in range(3):
         vals = noise.normals(color[ch], noise_sigma, count)
         img[ch, rows, cols][mask] = np.clip(vals, 0.0, 1.0)
+    return rows, cols
 
 
 def _walk(rng: SplitMix64, start: tuple[float, float], frames: int, sigma: float,
@@ -190,17 +228,18 @@ def gen_sequence(spec: SequenceSpec) -> Sequence:
         clutter_items.append((fam, chalf, ccolor,
                               _walk(cm, start, spec.frames, spec.motion_sigma, chalf, size)))
 
-    frames, gts, dist_boxes = [], [], []
+    windows, gts, dist_boxes = [], [], []
+    img = np.empty((3, size, size))  # scratch raster, repainted every frame
     for t in range(spec.frames):
         noise = root.spawn(_DOMAIN_NOISE, t)
-        img = np.empty((3, size, size))
         for ch in range(3):
             img[ch].fill(bg[ch])
 
+        painted = []
         for fam, chalf, ccolor, centers in clutter_items:
             cx, cy = centers[t]
-            _paint(img, fam, Box(cx - chalf, cy - chalf, cx + chalf, cy + chalf),
-                   ccolor, noise, spec.noise_sigma)
+            painted.append(_paint(img, fam, Box(cx - chalf, cy - chalf, cx + chalf, cy + chalf),
+                                  ccolor, noise, spec.noise_sigma))
 
         gt_cx, gt_cy = target_centers[t]
         gt = Box(gt_cx - half_t, gt_cy - half_t, gt_cx + half_t, gt_cy + half_t)
@@ -211,15 +250,18 @@ def gen_sequence(spec: SequenceSpec) -> Sequence:
             dh = dist_halves[d]
             db = Box(dcx - dh, dcy - dh, dcx + dh, dcy + dh)
             boxes_t.append(db)
-            _paint(img, spec.shape, db, dist_colors[d], noise, spec.noise_sigma)
+            painted.append(_paint(img, spec.shape, db, dist_colors[d], noise, spec.noise_sigma))
 
-        _paint(img, spec.shape, gt, color, noise, spec.noise_sigma)
+        painted.append(_paint(img, spec.shape, gt, color, noise, spec.noise_sigma))
 
-        frames.append(img)
+        # copied after the last paint, so overlapping windows agree
+        windows.append([(rows, cols, img[:, rows, cols].copy())
+                        for rows, cols in filter(None, painted)])
         gts.append(gt)
         dist_boxes.append(boxes_t)
 
-    return Sequence(frames=frames, gt=gts, distractor_boxes=dist_boxes, spec=spec)
+    return Sequence(frames=PaintedFrames(size, bg, windows), gt=gts,
+                    distractor_boxes=dist_boxes, spec=spec)
 
 
 # -- cropping ------------------------------------------------------------------
@@ -404,20 +446,30 @@ def export_sequence(seq: Sequence, out_dir: str) -> None:
 
 
 def import_sequence(in_dir: str) -> Sequence:
+    """Read a directory written by ``export_sequence``; raises ValueError
+    when frames differ in shape or a box block lacks a frame's line."""
     names = sorted(n for n in os.listdir(in_dir) if n.startswith("frame_") and n.endswith(".ppm"))
     if not names:
         raise ValueError(f"no frames found in {in_dir}")
     frames = [_read_ppm(os.path.join(in_dir, n)) for n in names]
+    for name, frame in zip(names, frames):
+        if frame.shape != frames[0].shape:
+            raise ValueError(f"{in_dir}: {name} has shape {frame.shape}, {names[0]} {frames[0].shape}")
 
     with open(os.path.join(in_dir, "annotations.txt")) as f:
         text = f.read()
     blocks = [b for b in text.split("\n\n") if b.strip()]
+    if not blocks:
+        raise ValueError(f"{in_dir}: annotations.txt has no target block")
     parsed: list[list[Box]] = []
-    for block in blocks:
+    for k, block in enumerate(blocks):
         boxes = {}
         for line in block.strip().splitlines():
             t, x1, y1, x2, y2 = line.split()
             boxes[int(t)] = Box(float(x1), float(y1), float(x2), float(y2))
+        missing = [t for t in range(len(frames)) if t not in boxes]
+        if missing:
+            raise ValueError(f"{in_dir}: annotation block {k} has no line for frame {missing[0]}")
         parsed.append([boxes[t] for t in range(len(frames))])
 
     spec = None

@@ -1,7 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ranktrack import cli, configio, pipeline
+from ranktrack import cli, configio, pipeline, synthdata
 from ranktrack.numerics import Tensor
 from ranktrack.rng import SplitMix64
 
@@ -83,3 +85,42 @@ class TestBadCheckpoints:
         # the same checkpoint under its own config evaluates
         assert cli.main(["eval", "--checkpoint", ckpt, "--config", str(cfg_path),
                          "--out", str(tmp_path / "ok")]) == cli.EXIT_OK
+
+
+class TestBadSequenceDirs:
+    """`eval --seqs` rejects a malformed sequence directory with one error
+    line and EXIT_CONFIG instead of a traceback or metrics."""
+
+    @staticmethod
+    def exported(tmp_path) -> tuple[list[str], Path]:
+        seq_dir = tmp_path / "seqs" / "seq0"
+        synthdata.export_sequence(synthdata.gen_sequence(synthdata.SequenceSpec(seed=3, frames=5)),
+                                  str(seq_dir))
+        argv = eval_argv(tmp_path, quick_config()) + ["--seqs", str(tmp_path / "seqs")]
+        return argv, seq_dir
+
+    def test_block_missing_a_frame(self, tmp_path, capsys):
+        argv, seq_dir = self.exported(tmp_path)
+        ann = seq_dir / "annotations.txt"
+        ann.write_text("\n".join(line for line in ann.read_text().split("\n")
+                                 if not line.startswith("3 ")))
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, "no line for frame 3")
+
+    def test_no_target_block(self, tmp_path, capsys):
+        argv, seq_dir = self.exported(tmp_path)
+        (seq_dir / "annotations.txt").write_text("")
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, "no target block")
+
+    def test_frames_of_different_shapes(self, tmp_path, capsys):
+        argv, seq_dir = self.exported(tmp_path)
+        small = tmp_path / "small"
+        synthdata.export_sequence(synthdata.gen_sequence(synthdata.SequenceSpec(
+            seed=3, frames=1, image_size=80, target_size=20.0)), str(small))
+        (seq_dir / "frame_000002.ppm").write_bytes((small / "frame_000000.ppm").read_bytes())
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, "frame_000002.ppm has shape (3, 80, 80)")

@@ -1,8 +1,11 @@
+import copy
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ranktrack import pipeline
 from ranktrack.geometry import Box, iou
 from ranktrack.synthdata import (
     CropTransform,
@@ -22,6 +25,8 @@ from ranktrack.synthdata import (
     spec_from_kv,
     spec_to_kv,
 )
+
+from conftest import quick_config
 
 
 def digest(seq: Sequence) -> str:
@@ -95,6 +100,52 @@ class TestGenSequence:
             gen_sequence(SequenceSpec(image_size=40, target_size=26.0))
         with pytest.raises(ValueError):
             gen_sequence(SequenceSpec(shape="hexagon"))
+
+
+class TestGeneratedFrames:
+    """Generated frames read like a list of rasters, each read a fresh
+    read-only array; a deep copy is a plain list of writable arrays."""
+
+    def test_list_protocol(self):
+        seq = gen_sequence(SequenceSpec(seed=9, frames=3))
+        assert len(seq.frames) == 3 and len(list(seq.frames)) == 3
+        for t in range(-3, 0):
+            assert seq.frames[t].tobytes() == seq.frames[3 + t].tobytes()
+        assert [f.tobytes() for f in seq.frames] == [seq.frames[t].tobytes() for t in range(3)]
+        for t in (3, -4):
+            with pytest.raises(IndexError):
+                seq.frames[t]
+
+    def test_each_read_is_fresh_and_read_only(self):
+        spec = SequenceSpec(seed=10, frames=2)
+        seq = gen_sequence(spec)
+        a, b = seq.frames[1], seq.frames[1]
+        assert a.shape == (3, spec.image_size, spec.image_size) and a.dtype == np.float64
+        assert not np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            a[0, 5, 5] = 1.5
+        assert a.tobytes() == b.tobytes()
+
+    def test_deepcopy_is_writable_and_edits_persist(self):
+        seq = gen_sequence(SequenceSpec(seed=11, frames=3))
+        dense = copy.deepcopy(seq)
+        assert [f.tobytes() for f in dense.frames] == [f.tobytes() for f in seq.frames]
+        dense.frames[1][0, 5, 5] = 1.5
+        assert dense.frames[1][0, 5, 5] == 1.5
+        assert seq.frames[1][0, 5, 5] != 1.5
+
+    def test_pool_holds_a_fraction_of_the_dense_rasters(self):
+        cfg = quick_config(eval_sequences=4, eval_frames=20)
+        dense = cfg.eval_sequences * cfg.eval_frames * 3 * cfg.image_size ** 2 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pool = pipeline.eval_pool(cfg)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(len(seq) for seq in pool) == cfg.eval_sequences * cfg.eval_frames
+        assert held <= dense / 4, f"pool holds {held / 2**20:.1f} MiB"
 
 
 def windowed_mask(shape: str, h: int, w: int, box: Box) -> np.ndarray:
