@@ -1,3 +1,4 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -124,3 +125,54 @@ class TestBadSequenceDirs:
         code, err = _eval_exit(capsys, argv)
         assert code == cli.EXIT_CONFIG
         _only_error_line(err, "frame_000002.ppm has shape (3, 80, 80)")
+
+
+# sha256 of the files `train` and `synth` write, taken before the config codec
+# and the command error handling were rewritten; that rewrite keeps every byte.
+TRAIN_CONFIG = """# 64/128 dw, CR + IGR
+seed = 7
+template_size = 64
+search_size = 128
+iterations = 3
+train_sequences = 6
+frames_per_sequence = 6
+similarity = 0.9
+rank_cls = true
+rank_iou = yes
+"""
+TRAIN_ARTIFACT_GOLDENS = {
+    "manifest.txt": "4ba55acda62e4964c3745e41698c985937047a14570a065e1f5cc21b3c6d07b8",
+    "runlog.csv": "c015f286f6ced1410020065a761a575051e598338150d67eb4cff441576734a1",
+    "checkpoint.bin": "4857bd9269c352e5ad945cb6f8556e587942ab4df6d728456aad5bdcf69a16ed",
+}
+SPEC_TEXTS = {
+    "drawn": ("seed = 3\nframes = 2\nshape = ellipse\n", []),
+    "given": ("seed = 3\nframes = 2\ncolor = 0.2, 0.5,0.8\nnoise_sigma = 0.1\n", []),
+    "seeded": ("frames = 2\n", ["--seed", "11"]),
+}
+SPEC_GOLDENS = {
+    "drawn": "4dccd76b524f1d64731c4587b829fb9f9b22b7bd8a96916df261e3e8d0f9d526",
+    "given": "5d55d65132a9cd8693bb5113c5acbce218f360db7f290fdce16d9b4b2427b02d",
+    "seeded": "580e6c1fd126821910710d9cdbe08bd28964f94e0fa3e8696108c7b91f9dd732",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_train_artifacts_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths, so manifest.txt's out_dir is fixed
+    Path("train.cfg").write_text(TRAIN_CONFIG)
+    assert cli.main(["train", "--config", "train.cfg", "--out", "run"]) == cli.EXIT_OK
+    assert {n: _sha256(Path("run") / n) for n in TRAIN_ARTIFACT_GOLDENS} == TRAIN_ARTIFACT_GOLDENS
+
+
+@pytest.mark.parametrize("case", SPEC_GOLDENS)
+def test_synth_spec_golden(tmp_path, case):
+    text, extra = SPEC_TEXTS[case]
+    (tmp_path / "spec.cfg").write_text(text)
+    out = tmp_path / "seq"
+    assert cli.main(["synth", "--spec", str(tmp_path / "spec.cfg"), "--out", str(out)]
+                    + extra) == cli.EXIT_OK
+    assert _sha256(out / "spec.txt") == SPEC_GOLDENS[case]
