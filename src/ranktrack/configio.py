@@ -1,14 +1,22 @@
-"""Flat key = value config files: parse, format, digest.
+"""Flat key = value config files: parse, format, digest, and the one codec
+between them and flat dataclasses.
 
-The format is one `key = value` pair per line; blank lines and lines
-starting with `#` are ignored. Values stay strings here; typed coercion
-happens at the schema that consumes them, so error messages can name
-the offending field.
+The format is one `key = value` pair per line; blank lines and text after
+`#` are ignored. ``to_kv`` writes a dataclass's fields in field order:
+floats with ``repr``, tuples as comma-joined ``repr``s, other values with
+``str``, and fields that are None not at all. ``from_kv`` reads them back:
+it rejects unknown keys, parses each present field as the type of its
+default (a None default reads a tuple of floats), names the field in every
+error, and ends with the class's ``validate()``.
 """
 
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
+
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
 class ConfigError(ValueError):
@@ -37,28 +45,39 @@ def format_kv(kv: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in kv.items())
 
 
-def coerce(kv: dict[str, str], key: str, kind, default):
-    """Typed lookup; raises ConfigError naming the field on bad values."""
-    if key not in kv:
-        return default
-    raw = kv[key]
-    try:
-        if kind is bool:
-            low = raw.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(raw)
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"field {key!r}: cannot parse {raw!r} as {kind.__name__}") from None
+def to_kv(obj) -> dict[str, str]:
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if isinstance(v, tuple):
+            out[f.name] = ",".join(repr(x) for x in v)
+        elif v is not None:
+            out[f.name] = repr(v) if isinstance(v, float) else str(v)
+    return out
 
 
-def reject_unknown(kv: dict[str, str], known: set[str]) -> None:
-    unknown = sorted(set(kv) - known)
+def _parse(raw: str, default):
+    if default is None:
+        return tuple(float(x) for x in raw.split(","))
+    if isinstance(default, bool):
+        return _BOOLS[raw.lower()]
+    return type(default)(raw)
+
+
+def from_kv(cls, kv: dict[str, str]):
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(kv) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
+    args = {}
+    for key, raw in kv.items():
+        try:
+            args[key] = _parse(raw, defaults[key])
+        except (KeyError, ValueError):
+            raise ConfigError(f"field {key!r}: cannot parse {raw!r}") from None
+    obj = cls(**args)
+    obj.validate()
+    return obj
 
 
 def sha256_text(text: str) -> str:

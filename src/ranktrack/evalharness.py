@@ -12,7 +12,7 @@ jitter so the target is not parked at the crop center):
   their decoded boxes, the quantity the IoU-guided ranking loss aligns.
 
 Success thresholds are inclusive (iou >= t), so a perfect tracker
-scores exactly 1.0; set ``inclusive=False`` for the strict convention.
+scores exactly 1.0.
 """
 
 from __future__ import annotations
@@ -30,22 +30,17 @@ SUCCESS_THRESHOLDS = np.round(np.arange(0, 21) * 0.05, 2)
 PRECISION_RADII = tuple(range(0, 51))
 
 
-def success_curve(pred: list[Box], gt: list[Box], inclusive: bool = True,
-                  ) -> list[tuple[float, float]]:
+def success_curve(pred: list[Box], gt: list[Box]) -> list[tuple[float, float]]:
     if len(pred) != len(gt):
         raise ValueError("pred/gt length mismatch")
     if not pred:
         raise ValueError("empty sequence")
     ious = np.array([iou(p, g) for p, g in zip(pred, gt)])
-    curve = []
-    for t in SUCCESS_THRESHOLDS:
-        hit = ious >= t if inclusive else ious > t
-        curve.append((float(t), float(np.mean(hit))))
-    return curve
+    return [(float(t), float(np.mean(ious >= t))) for t in SUCCESS_THRESHOLDS]
 
 
-def success_auc(pred: list[Box], gt: list[Box], inclusive: bool = True) -> float:
-    return float(np.mean([rate for _, rate in success_curve(pred, gt, inclusive)]))
+def success_auc(pred: list[Box], gt: list[Box]) -> float:
+    return float(np.mean([rate for _, rate in success_curve(pred, gt)]))
 
 
 def precision_curve(pred: list[Box], gt: list[Box],
@@ -101,7 +96,8 @@ class MetricReport:
         for key in ("success_auc", "dp20", "rank_consistency",
                     "distractor_margin", "kendall_tau"):
             vals = np.array([getattr(s, key) for s in self.per_sequence])
-            out[key] = float(np.nanmean(vals)) if vals.size else float("nan")
+            # all-NaN (or empty) is NaN, without nanmean's "Mean of empty slice"
+            out[key] = float("nan") if np.isnan(vals).all() else float(np.nanmean(vals))
         return out
 
 

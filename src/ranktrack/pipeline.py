@@ -119,23 +119,7 @@ class TrainConfig:
             raise ConfigError("template_size too small for the backbone")
 
     def to_kv(self) -> dict[str, str]:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = repr(v) if isinstance(v, float) else str(v)
-        return out
-
-    @classmethod
-    def from_kv(cls, kv: dict[str, str]) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        configio.reject_unknown(kv, known)
-        args = {}
-        for f in fields(cls):
-            kind = {int: int, float: float, bool: bool, str: str}[type(getattr(cls(), f.name))]
-            args[f.name] = configio.coerce(kv, f.name, kind, getattr(cls(), f.name))
-        cfg = cls(**args)
-        cfg.validate()
-        return cfg
+        return configio.to_kv(self)
 
 
 def feature_extent(n: int) -> int:
@@ -480,18 +464,6 @@ def write_run_log(log: list[LogRow], path: str) -> None:
         for r in log:
             f.write(f"{r.iteration},{r.cls!r},{r.loc!r},{r.rank_cls!r},"
                     f"{r.rank_iou!r},{r.total!r},{r.margin!r}\n")
-
-
-def read_run_log(path: str) -> list[LogRow]:
-    rows = []
-    with open(path) as f:
-        header = f.readline()
-        if header.strip() != "iteration,cls,loc,rank_cls,rank_iou,total,margin":
-            raise ValueError("unrecognized run log header")
-        for line in f:
-            it, *vals = line.strip().split(",")
-            rows.append(LogRow(int(it), *(float(v) for v in vals)))
-    return rows
 
 
 # -- checkpoints ----------------------------------------------------------------

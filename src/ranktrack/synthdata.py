@@ -24,10 +24,11 @@ import math
 import os
 import re
 from collections import abc
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import configio
 from .geometry import Box
 from .rng import SplitMix64
 
@@ -45,13 +46,13 @@ class SequenceSpec:
     frames: int = 8
     image_size: int = 160
     shape: str = "rect"
-    color: tuple[float, float, float] | None = None  # None: drawn from seed
     target_size: float = 26.0
     distractors: int = 2
     similarity: float = 0.85      # 1.0 = identical appearance to the target
     clutter: int = 3
     motion_sigma: float = 3.0
     noise_sigma: float = 0.05
+    color: tuple[float, float, float] | None = None  # None: drawn from seed
 
     def validate(self) -> None:
         if self.frames < 1:
@@ -440,9 +441,8 @@ def export_sequence(seq: Sequence, out_dir: str) -> None:
         f.write("\n".join(lines))
 
     if seq.spec is not None:
-        from . import configio
         with open(os.path.join(out_dir, "spec.txt"), "w") as f:
-            f.write(configio.format_kv(spec_to_kv(seq.spec)))
+            f.write(configio.format_kv(configio.to_kv(seq.spec)))
 
 
 def import_sequence(in_dir: str) -> Sequence:
@@ -475,47 +475,9 @@ def import_sequence(in_dir: str) -> Sequence:
     spec = None
     spec_path = os.path.join(in_dir, "spec.txt")
     if os.path.exists(spec_path):
-        from . import configio
         with open(spec_path) as f:
-            spec = spec_from_kv(configio.parse_kv(f.read()))
+            spec = configio.from_kv(SequenceSpec, configio.parse_kv(f.read()))
 
     distractors = [[parsed[d + 1][t] for d in range(len(parsed) - 1)]
                    for t in range(len(frames))]
     return Sequence(frames=frames, gt=parsed[0], distractor_boxes=distractors, spec=spec)
-
-
-def spec_to_kv(spec: SequenceSpec) -> dict[str, str]:
-    kv = {
-        "seed": str(spec.seed),
-        "frames": str(spec.frames),
-        "image_size": str(spec.image_size),
-        "shape": spec.shape,
-        "target_size": repr(spec.target_size),
-        "distractors": str(spec.distractors),
-        "similarity": repr(spec.similarity),
-        "clutter": str(spec.clutter),
-        "motion_sigma": repr(spec.motion_sigma),
-        "noise_sigma": repr(spec.noise_sigma),
-    }
-    if spec.color is not None:
-        kv["color"] = ",".join(repr(c) for c in spec.color)
-    return kv
-
-
-def spec_from_kv(kv: dict[str, str]) -> SequenceSpec:
-    spec = SequenceSpec(
-        seed=int(kv.get("seed", "0")),
-        frames=int(kv.get("frames", "8")),
-        image_size=int(kv.get("image_size", "160")),
-        shape=kv.get("shape", "rect"),
-        target_size=float(kv.get("target_size", "26")),
-        distractors=int(kv.get("distractors", "2")),
-        similarity=float(kv.get("similarity", "0.85")),
-        clutter=int(kv.get("clutter", "3")),
-        motion_sigma=float(kv.get("motion_sigma", "3.0")),
-        noise_sigma=float(kv.get("noise_sigma", "0.05")),
-    )
-    if "color" in kv:
-        spec = replace(spec, color=tuple(float(c) for c in kv["color"].split(",")))
-    spec.validate()
-    return spec

@@ -31,7 +31,7 @@ def eval_argv(tmp_path, cfg: pipeline.TrainConfig, init_seed: int = 5) -> list[s
     """`ranktrack eval` arguments for cfg's eval pool with a seeded untrained
     checkpoint, writing into tmp_path/out."""
     cfg_path = tmp_path / "eval.cfg"
-    cfg_path.write_text(configio.format_kv(cfg.to_kv()))
+    cfg_path.write_text(configio.format_kv(configio.to_kv(cfg)))
     ckpt = tmp_path / "init.bin"
     pipeline.save_checkpoint(pipeline.init_params(cfg, SplitMix64(init_seed)), str(ckpt))
     return ["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),

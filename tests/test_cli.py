@@ -72,7 +72,7 @@ class TestBadCheckpoints:
     def test_crop_size_mismatch(self, tmp_path, capsys):
         trained = quick_config(iterations=1, eval_sequences=2, eval_frames=3)
         cfg_path = tmp_path / "train.cfg"
-        cfg_path.write_text(configio.format_kv(trained.to_kv()))
+        cfg_path.write_text(configio.format_kv(configio.to_kv(trained)))
         run_dir = tmp_path / "run"
         assert cli.main(["train", "--config", str(cfg_path), "--out", str(run_dir)]) == 0
         ckpt = str(run_dir / "checkpoint.bin")
@@ -176,3 +176,109 @@ def test_synth_spec_golden(tmp_path, case):
     assert cli.main(["synth", "--spec", str(tmp_path / "spec.cfg"), "--out", str(out)]
                     + extra) == cli.EXIT_OK
     assert _sha256(out / "spec.txt") == SPEC_GOLDENS[case]
+
+
+# -- exit codes ---------------------------------------------------------------------
+
+TINY_CONFIG = """template_size = 64
+search_size = 128
+iterations = 3
+train_sequences = 2
+frames_per_sequence = 3
+eval_sequences = 1
+eval_frames = 2
+"""
+INPUT_FLAGS = {"synth": "--spec", "train": "--config", "eval": "--config", "ablation": "--arms"}
+
+
+def command_argv(tmp_path, command: str, path: str, out: str) -> list[str]:
+    """``command`` reading ``path`` as its config, spec or second arm, writing to ``out``."""
+    good = tmp_path / "good.cfg"
+    good.write_text(TINY_CONFIG)
+    if command == "ablation":
+        return ["ablation", "--arms", str(good), path, str(good), str(good), "--out", out]
+    argv = [command, INPUT_FLAGS[command], path, "--out", out]
+    return argv + ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else argv
+
+
+def unreadable(tmp_path, kind: str) -> str:
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"seed = 7\n# caf\xe9\n")
+    return str(path)
+
+
+EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG) for c in INPUT_FLAGS
+              for k in ("missing", "directory", "non-utf8")] + [
+    ("synth-unknown-key", cli.EXIT_CONFIG),
+    ("ablation-three-arms", cli.EXIT_CONFIG),
+    ("synth-out-under-file", cli.EXIT_IO),
+    ("train-out-under-file", cli.EXIT_IO),
+    ("ablation-out-under-file", cli.EXIT_IO),
+    ("train-diverges", cli.EXIT_DIVERGED),
+]
+
+
+def exit_case_argv(tmp_path, case: str) -> list[str]:
+    command, what = case.split("-", 1)
+    out = str(tmp_path / "out")
+    if what in ("missing", "directory", "non-utf8"):
+        return command_argv(tmp_path, command, unreadable(tmp_path, what), out)
+    cfg = tmp_path / "case.cfg"
+    cfg.write_text({"synth": "frames = 2\n", "train": TINY_CONFIG + "lr = 1e6\n"}.get(
+        command, TINY_CONFIG))
+    if what == "unknown-key":
+        cfg.write_text("distractor = 4\n")
+    elif what == "three-arms":
+        return ["ablation", "--arms", str(cfg), str(cfg), str(cfg), "--out", out]
+    elif what == "out-under-file":
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "out")
+    return command_argv(tmp_path, command, str(cfg), out)
+
+
+@pytest.mark.parametrize("case,code", EXIT_CASES, ids=[c for c, _ in EXIT_CASES])
+def test_exit_codes(tmp_path, capsys, case, code):
+    assert cli.main(exit_case_argv(tmp_path, case)) == code
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
+    assert "Traceback" not in err
+    if code == cli.EXIT_DIVERGED:
+        assert "iteration 1:" in err
+        assert (tmp_path / "out" / "divergence.txt").read_text().startswith(
+            "non-finite loss at iteration 1:")
+
+
+def test_unknown_spec_key_is_named(tmp_path, capsys):
+    (tmp_path / "spec.cfg").write_text("frames = 2\ndistractor = 4\n")
+    argv = ["synth", "--spec", str(tmp_path / "spec.cfg"), "--out", str(tmp_path / "seq")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    _only_error_line(capsys.readouterr().err, "unknown config field(s): distractor")
+    assert not (tmp_path / "seq").exists()
+
+
+def test_bad_spec_value_names_the_field(tmp_path, capsys):
+    (tmp_path / "spec.cfg").write_text("frames = abc\n")
+    argv = ["synth", "--spec", str(tmp_path / "spec.cfg"), "--out", str(tmp_path / "seq")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    _only_error_line(capsys.readouterr().err, "field 'frames'")
+
+
+def test_train_reads_its_config_once(tmp_path, monkeypatch):
+    """The manifest's digest and the trained config come from one read, so a
+    config that changes between reads (a pipe, a file being edited) cannot
+    train one config under the digest of another."""
+    cfg_path = tmp_path / "train.cfg"
+    cfg_path.write_text(TINY_CONFIG.replace("iterations = 3", "iterations = 1"))
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    assert cli.main(["train", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert opened.count(str(cfg_path)) == 1

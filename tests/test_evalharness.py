@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,11 +46,6 @@ class TestSuccessAuc:
         gt = Box(0, 0, 10, 10)  # iou exactly 0.5
         assert success_auc([pred] * 3, [gt] * 3) == pytest.approx(
             0.5238095238095238, abs=1e-15)
-
-    def test_strict_convention_differs_by_one_bin(self):
-        preds = [BOX] * 2
-        assert success_auc(preds, preds, inclusive=False) == pytest.approx(
-            20 / 21, abs=1e-15)
 
     def test_monotone_in_frame_improvement(self):
         gts = [BOX] * 4
@@ -173,6 +170,19 @@ class TestReportCsv:
         assert agg["distractor_margin"] == pytest.approx(0.3)
         text = report_csv(report)
         assert text.splitlines()[-1].startswith("aggregate,")
+
+    def test_all_nan_column_is_nan_without_a_warning(self):
+        report = MetricReport(per_sequence=[
+            SequenceMetrics("a", 0.4, 0.6, 0.8, float("nan"), 0.2),
+            SequenceMetrics("b", 0.6, 0.8, 1.0, float("nan"), 0.4),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            agg = report.aggregate()
+            text = report_csv(report)
+        assert np.isnan(agg["distractor_margin"])
+        assert agg["kendall_tau"] == pytest.approx(0.3)
+        assert text.splitlines()[-1].split(",")[4] == "nan"
 
     def test_csv_deterministic(self):
         report = make_report()

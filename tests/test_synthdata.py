@@ -1,11 +1,11 @@
 import copy
 import hashlib
-import tracemalloc
+import sys
 
 import numpy as np
 import pytest
 
-from ranktrack import pipeline
+from ranktrack import configio, pipeline
 from ranktrack.geometry import Box, iou
 from ranktrack.synthdata import (
     CropTransform,
@@ -22,8 +22,6 @@ from ranktrack.synthdata import (
     export_sequence,
     gen_sequence,
     import_sequence,
-    spec_from_kv,
-    spec_to_kv,
 )
 
 from conftest import quick_config
@@ -137,15 +135,33 @@ class TestGeneratedFrames:
     def test_pool_holds_a_fraction_of_the_dense_rasters(self):
         cfg = quick_config(eval_sequences=4, eval_frames=20)
         dense = cfg.eval_sequences * cfg.eval_frames * 3 * cfg.image_size ** 2 * 8
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            pool = pipeline.eval_pool(cfg)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        pool = pipeline.eval_pool(cfg)
+        held = held_bytes(pool)
         assert sum(len(seq) for seq in pool) == cfg.eval_sequences * cfg.eval_frames
         assert held <= dense / 4, f"pool holds {held / 2**20:.1f} MiB"
+
+
+def held_bytes(obj) -> int:
+    """Bytes reachable from ``obj`` through containers, instance attributes
+    and array bases. An array's buffer counts once, at the array (or other
+    object) that owns it, so a view keeps its whole base alive here too."""
+    total, seen, todo = 0, set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray) and o.base is not None:
+            todo.append(o.base)
+            continue
+        total += o.nbytes if isinstance(o, np.ndarray) else sys.getsizeof(o)
+        if isinstance(o, dict):
+            todo.extend(o.values())
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        elif hasattr(o, "__dict__") and not isinstance(o, type):
+            todo.append(vars(o))
+    return total
 
 
 def windowed_mask(shape: str, h: int, w: int, box: Box) -> np.ndarray:
@@ -337,7 +353,7 @@ class TestExportImport:
     def test_spec_kv_round_trip(self):
         spec = SequenceSpec(seed=16, frames=5, shape="ellipse", color=(0.25, 0.5, 0.75),
                             similarity=0.625)
-        assert spec_from_kv(spec_to_kv(spec)) == spec
+        assert configio.from_kv(SequenceSpec, configio.to_kv(spec)) == spec
 
     def test_import_missing_frames(self, tmp_path):
         with pytest.raises(ValueError):
