@@ -67,6 +67,8 @@ class SequenceSpec:
             raise ValueError("object counts must be >= 0")
         if self.motion_sigma < 0 or self.noise_sigma < 0:
             raise ValueError("sigmas must be >= 0")
+        if self.color is not None and len(self.color) != 3:
+            raise ValueError("color must have 3 components")
 
 
 class PaintedFrames(abc.Sequence):

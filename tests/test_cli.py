@@ -188,82 +188,59 @@ frames_per_sequence = 3
 eval_sequences = 1
 eval_frames = 2
 """
-INPUT_FLAGS = {"synth": "--spec", "train": "--config", "eval": "--config", "ablation": "--arms"}
-
-
-def command_argv(tmp_path, command: str, path: str, out: str) -> list[str]:
-    """``command`` reading ``path`` as its config, spec or second arm, writing to ``out``."""
-    good = tmp_path / "good.cfg"
-    good.write_text(TINY_CONFIG)
-    if command == "ablation":
-        return ["ablation", "--arms", str(good), path, str(good), str(good), "--out", out]
-    argv = [command, INPUT_FLAGS[command], path, "--out", out]
-    return argv + ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else argv
-
-
-def unreadable(tmp_path, kind: str) -> str:
-    path = tmp_path / kind
-    if kind == "directory":
-        path.mkdir()
-    elif kind == "non-utf8":
-        path.write_bytes(b"seed = 7\n# caf\xe9\n")
-    return str(path)
-
-
-EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG) for c in INPUT_FLAGS
-              for k in ("missing", "directory", "non-utf8")] + [
-    ("synth-unknown-key", cli.EXIT_CONFIG),
-    ("ablation-three-arms", cli.EXIT_CONFIG),
-    ("synth-out-under-file", cli.EXIT_IO),
-    ("train-out-under-file", cli.EXIT_IO),
-    ("ablation-out-under-file", cli.EXIT_IO),
-    ("train-diverges", cli.EXIT_DIVERGED),
+CASE_TEXTS = {
+    "unknown-key": "distractor = 4\n",
+    "bad-value": "frames = abc\n",
+    "two-colour-components": "color = 0.1,0.2\n",
+    "diverges": TINY_CONFIG + "lr = 1e6\n",
+}
+EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
+              for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
+                              ("non-utf8", "codec can't decode"))] + [
+    ("synth-unknown-key", cli.EXIT_CONFIG, "unknown config field(s): distractor"),
+    ("synth-bad-value", cli.EXIT_CONFIG, "field 'frames': cannot parse 'abc'"),
+    ("synth-two-colour-components", cli.EXIT_CONFIG, "color must have 3 components"),
+    ("ablation-three-arms", cli.EXIT_CONFIG, "exactly 4 arm configs"),
+    ("synth-out-under-file", cli.EXIT_IO, "Not a directory"),
+    ("train-out-under-file", cli.EXIT_IO, "Not a directory"),
+    ("ablation-out-under-file", cli.EXIT_IO, "Not a directory"),
+    ("train-diverges", cli.EXIT_DIVERGED, "training diverged: non-finite loss at iteration 1:"),
 ]
 
 
 def exit_case_argv(tmp_path, case: str) -> list[str]:
+    """The command named first in ``case``, reading the input the rest of
+    ``case`` names as its spec, its config or its second of four arms."""
     command, what = case.split("-", 1)
-    out = str(tmp_path / "out")
-    if what in ("missing", "directory", "non-utf8"):
-        return command_argv(tmp_path, command, unreadable(tmp_path, what), out)
-    cfg = tmp_path / "case.cfg"
-    cfg.write_text({"synth": "frames = 2\n", "train": TINY_CONFIG + "lr = 1e6\n"}.get(
-        command, TINY_CONFIG))
-    if what == "unknown-key":
-        cfg.write_text("distractor = 4\n")
-    elif what == "three-arms":
-        return ["ablation", "--arms", str(cfg), str(cfg), str(cfg), "--out", out]
-    elif what == "out-under-file":
+    path, out, good = tmp_path / "input.cfg", tmp_path / "out", tmp_path / "good.cfg"
+    good.write_text(TINY_CONFIG)
+    if what == "directory":
+        path.mkdir()
+    elif what == "non-utf8":
+        path.write_bytes(b"seed = 7\n# caf\xe9\n")
+    elif what != "missing":
+        path.write_text(CASE_TEXTS.get(what, "frames = 2\n" if command == "synth" else TINY_CONFIG))
+    if what == "out-under-file":
         (tmp_path / "file").write_text("")
-        out = str(tmp_path / "file" / "out")
-    return command_argv(tmp_path, command, str(cfg), out)
+        out = tmp_path / "file" / "out"
+    if command == "ablation":
+        arms = [good, path, good] + ([] if what == "three-arms" else [good])
+        return ["ablation", "--arms", *map(str, arms), "--out", str(out)]
+    flag = "--spec" if command == "synth" else "--config"
+    extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
+    return [command, flag, str(path), "--out", str(out)] + extra
 
 
-@pytest.mark.parametrize("case,code", EXIT_CASES, ids=[c for c, _ in EXIT_CASES])
-def test_exit_codes(tmp_path, capsys, case, code):
+@pytest.mark.parametrize("case,code,text", EXIT_CASES, ids=[c for c, _, _ in EXIT_CASES])
+def test_exit_codes(tmp_path, capsys, case, code, text):
+    """Each failure exits with its code and exactly one ``error:`` line."""
     assert cli.main(exit_case_argv(tmp_path, case)) == code
     err = capsys.readouterr().err
-    assert sum(line.startswith("error: ") for line in err.splitlines()) == 1, err
-    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and text in errors[0] and "Traceback" not in err, err
     if code == cli.EXIT_DIVERGED:
-        assert "iteration 1:" in err
         assert (tmp_path / "out" / "divergence.txt").read_text().startswith(
             "non-finite loss at iteration 1:")
-
-
-def test_unknown_spec_key_is_named(tmp_path, capsys):
-    (tmp_path / "spec.cfg").write_text("frames = 2\ndistractor = 4\n")
-    argv = ["synth", "--spec", str(tmp_path / "spec.cfg"), "--out", str(tmp_path / "seq")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    _only_error_line(capsys.readouterr().err, "unknown config field(s): distractor")
-    assert not (tmp_path / "seq").exists()
-
-
-def test_bad_spec_value_names_the_field(tmp_path, capsys):
-    (tmp_path / "spec.cfg").write_text("frames = abc\n")
-    argv = ["synth", "--spec", str(tmp_path / "spec.cfg"), "--out", str(tmp_path / "seq")]
-    assert cli.main(argv) == cli.EXIT_CONFIG
-    _only_error_line(capsys.readouterr().err, "field 'frames'")
 
 
 def test_train_reads_its_config_once(tmp_path, monkeypatch):
