@@ -230,9 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command. The one map from failures to exit codes: ConfigError
-    exits EXIT_CONFIG, DivergenceError EXIT_DIVERGED and OSError
-    EXIT_IO, each with one ``error:`` line on stderr."""
+    """Run one command and return its exit code: the command's own (EXIT_OK,
+    or EXIT_VERIFY from gradcheck), or from the one map of failures to
+    codes: ConfigError exits EXIT_CONFIG, DivergenceError EXIT_DIVERGED and
+    OSError EXIT_IO, each with one ``error:`` line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
