@@ -47,6 +47,9 @@ themselves are plain values and safe to hand between threads.
 from __future__ import annotations
 
 import ctypes
+import glob
+import os
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,6 +110,32 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+
+def _pin_blas_threads() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, so a seed gives one set
+    of bits whatever ``OPENBLAS_NUM_THREADS`` and the core count say.
+
+    Some 127/255 matmul shapes round differently when OpenBLAS splits them
+    over two threads. The environment variable acts only before numpy
+    loads; the library's own setter acts at any time. Warns when numpy
+    ships no scipy-openblas or the setter is missing.
+    """
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so")
+    try:
+        set_threads = ctypes.CDLL(sorted(glob.glob(pattern))[0]).scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        warnings.warn("numpy's bundled OpenBLAS was not found; BLAS may run several "
+                      "threads, and their count can change the bits of a seed",
+                      RuntimeWarning)
+        return
+    set_threads.argtypes = (ctypes.c_int,)
+    set_threads.restype = None
+    set_threads(1)
+
+
+_pin_blas_threads()
 
 
 class NonFiniteError(ArithmeticError):

@@ -11,6 +11,11 @@ speed-up pass.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,7 +101,7 @@ def test_train_golden(arm):
 # so its last row and column lie outside every 2x2 window and get a zero
 # gradient; the 64/128 goldens never reach that case.
 PAPER_GOLDENS = {
-    "train": "15695650777b942e9b3ba8394486365fea82ae86773f431b4661d5fb3e642993",
+    "train": "8528740aaba7ea567df46c1f86f4cdec7275dfa42503d066b1698f8918dc7b18",
     "track_step": "27a994f3d901b2d1aef9c8387445ec5bbbaf1024ae38e7e2231b738ad7223e5c",
 }
 
@@ -121,3 +126,19 @@ def paper_digests() -> dict[str, str]:
 
 def test_paper_preset_golden():
     assert paper_digests() == PAPER_GOLDENS
+
+
+def test_paper_preset_golden_at_one_and_two_blas_threads():
+    """``numerics`` pins OpenBLAS to one thread at import, so the thread
+    count the environment asks for does not reach the bits."""
+    tests_dir = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+    script = "import json; from test_golden import paper_digests; print(json.dumps(paper_digests()))"
+    runs = {threads: subprocess.Popen(
+        [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")}
+    for threads, proc in runs.items():
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        assert json.loads(out) == PAPER_GOLDENS, f"OPENBLAS_NUM_THREADS={threads}"
