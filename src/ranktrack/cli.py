@@ -37,20 +37,22 @@ def _loading_inputs():
         raise ConfigError(str(e)) from None
 
 
-def _read_kv(path: str) -> tuple[str, dict[str, str]]:
-    """Read one key = value file, once: its text and its pairs."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    return text, configio.parse_kv(text)
-
-
-def _load(path: str, cls, seed: int | None = None):
-    """The text of a config or spec file and the ``cls`` it holds, with
-    ``seed`` in place of the file's seed when given."""
-    text, kv = _read_kv(path)
-    if seed is not None:
-        kv["seed"] = str(seed)
-    return text, configio.from_kv(cls, kv)
+def _load(path: str, cls=None, seed: int | None = None):
+    """Read one key = value file, once: its text and its pairs, or, given
+    ``cls``, its text and the ``cls`` it holds, with ``seed`` in place of
+    the file's seed when given. A file that does not decode, parse or
+    validate raises a ConfigError that names it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+        kv = configio.parse_kv(text)
+        if cls is None:
+            return text, kv
+        if seed is not None:
+            kv["seed"] = str(seed)
+        return text, configio.from_kv(cls, kv)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _write_run(out_dir: str, cfg: pipeline.TrainConfig, config_text: str,
@@ -104,7 +106,7 @@ def _check_run_sizes(checkpoint: str, cfg: pipeline.TrainConfig) -> None:
     path = os.path.join(os.path.dirname(checkpoint), "manifest.txt")
     if not os.path.isfile(path):
         return
-    _, kv = _read_kv(path)
+    _, kv = _load(path)
     for key in ("template_size", "search_size"):
         if kv.get(key) != str(getattr(cfg, key)):
             raise ConfigError(f"checkpoint was trained with {key}={kv.get(key)}, "

@@ -233,11 +233,14 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
 
 @pytest.mark.parametrize("case,code,text", EXIT_CASES, ids=[c for c, _, _ in EXIT_CASES])
 def test_exit_codes(tmp_path, capsys, case, code, text):
-    """Each failure exits with its code and exactly one ``error:`` line."""
+    """Each failure exits with its code and exactly one ``error:`` line; an
+    input file that cannot be read or parsed is named in it."""
     assert cli.main(exit_case_argv(tmp_path, case)) == code
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and text in errors[0] and "Traceback" not in err, err
+    if code == cli.EXIT_CONFIG and not case.endswith("three-arms"):
+        assert str(tmp_path / "input.cfg") in errors[0], "the error names the input file"
     if code == cli.EXIT_DIVERGED:
         assert (tmp_path / "out" / "divergence.txt").read_text().startswith(
             "non-finite loss at iteration 1:")
