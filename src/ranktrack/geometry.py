@@ -197,18 +197,37 @@ def decode_boxes(px, py, offsets):
     return px - left, py - top, px + right, py + bottom
 
 
-def iou_tensor(x1: Tensor, y1: Tensor, x2: Tensor, y2: Tensor, gt: Box) -> Tensor:
-    """Differentiable IoU of predicted box coordinates against a fixed box.
+def iou_tensor(x1, y1, x2, y2, gt: Box) -> Tensor:
+    """Differentiable IoU of predicted box coordinates against a fixed box,
+    recorded as one node; inputs may be scalars or aligned vectors.
 
-    Inputs may be scalars or aligned vectors. The gradient is zero on
-    the flat region where the prediction misses the ground truth, and
-    the value can overshoot 1.0 by a few ulps because the division is
-    composed from exp/log.
+    The forward is ``iou``'s arithmetic, inter / ((pred_area + gt.area) -
+    inter). Rounding is monotone and inter is at most either area, so the
+    IoU never exceeds 1. The backward is closed-form: with q = g / union,
+    inter receives q * (1 + IoU) and pred_area -q * IoU. A predicted edge
+    that ties the ground truth's bounds the intersection, and an extent
+    that is not > 0 passes no gradient (a miss has zero gradient).
     """
-    iw = nm.relu(nm.sub(nm.minimum(x2, gt.x2), nm.maximum(x1, gt.x1)))
-    ih = nm.relu(nm.sub(nm.minimum(y2, gt.y2), nm.maximum(y1, gt.y1)))
-    inter = nm.mul(iw, ih)
-    pred_area = nm.mul(nm.relu(nm.sub(x2, x1)), nm.relu(nm.sub(y2, y1)))
-    union = nm.sub(nm.add(pred_area, gt.area), inter)
-    return nm.div(inter, union)
+    coords = [nm._as_tensor(t) for t in (x1, y1, x2, y2)]
+    shapes = [t.data.shape for t in coords]
+    a1, b1, a2, b2 = (t.data for t in coords)
+    lo_x, lo_y = a1 >= gt.x1, b1 >= gt.y1     # the prediction's edge bounds the overlap
+    hi_x, hi_y = a2 <= gt.x2, b2 <= gt.y2
+    extents = (np.where(hi_x, a2, gt.x2) - np.where(lo_x, a1, gt.x1),
+               np.where(hi_y, b2, gt.y2) - np.where(lo_y, b1, gt.y1), a2 - a1, b2 - b1)
+    mw, mh, mpw, mph = masks = [e > 0 for e in extents]
+    iw, ih, pw, ph = (np.where(m, e, 0.0) for m, e in zip(masks, extents))
+    inter = iw * ih
+    union = (pw * ph + gt.area) - inter
+    out = inter / union
 
+    def bw(g):
+        q = g / union
+        g_area = -q * out
+        g_inter = q - g_area
+        giw, gih = g_inter * ih * mw, g_inter * iw * mh
+        gpw, gph = g_area * ph * mpw, g_area * pw * mph
+        grads = (-giw * lo_x - gpw, -gih * lo_y - gph, giw * hi_x + gpw, gih * hi_y + gph)
+        return tuple(nm._unbroadcast(gr, sh) for gr, sh in zip(grads, shapes))
+
+    return nm._from_op(out, coords, bw, "iou")

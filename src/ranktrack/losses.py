@@ -51,13 +51,10 @@ class RankBatch:
             raise ValueError("RankBatch fields must be vectors")
         if self.pos_scores.data.shape != self.pos_ious.data.shape:
             raise ValueError("pos_scores and pos_ious must align")
-        for name, t in (("pos_scores", self.pos_scores), ("neg_scores", self.neg_scores)):
-            if t.data.size and (t.data.min() < 0.0 or t.data.max() > 1.0):
+        for name in ("pos_scores", "neg_scores", "pos_ious"):
+            v = getattr(self, name).data
+            if v.size and (v.min() < 0.0 or v.max() > 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        # IoUs may overshoot 1.0 by a few ulps (division composed from exp/log)
-        v = self.pos_ious.data
-        if v.size and (v.min() < -1e-9 or v.max() > 1.0 + 1e-9):
-            raise ValueError("pos_ious must lie in [0, 1]")
 
     @property
     def n_pos(self) -> int:
@@ -72,23 +69,27 @@ def cross_entropy(a_cls: Tensor, labels: LabelMap) -> Tensor:
     1/N_neg; ignore locations contribute nothing. Channel 0 is
     background, channel 1 foreground.
     """
+    return _split_ce(a_cls, labels)[0]
+
+
+def _split_ce(a_cls: Tensor, labels: LabelMap) -> tuple[Tensor, Tensor, Tensor]:
+    """``cross_entropy`` and the flattened log-softmax maps (log p_bg,
+    log p_fg) it was built from."""
     if a_cls.data.ndim != 3 or a_cls.data.shape[0] != 2:
         raise ValueError("cross_entropy expects a (2, H, W) class map")
     n_pos, n_neg = labels.n_pos, labels.n_neg
     if n_pos == 0 and n_neg == 0:
         raise ValueError("cross_entropy with no labelled locations")
 
-    logp = nm.log_softmax(a_cls, axis=0)
-    h, w = a_cls.data.shape[1:]
-    logp_bg = nm.reshape(logp[0], (h * w,))
-    logp_fg = nm.reshape(logp[1], (h * w,))
+    logp = nm.reshape(nm.log_softmax(a_cls, axis=0), (2, -1))
+    logp_bg, logp_fg = logp[0], logp[1]
 
     loss = Tensor(0.0)
     if n_pos:
         loss = nm.add(loss, nm.mul(nm.sum_(logp_fg[labels.pos_flat()]), -1.0 / n_pos))
     if n_neg:
         loss = nm.add(loss, nm.mul(nm.sum_(logp_bg[labels.neg_flat()]), -1.0 / n_neg))
-    return loss
+    return loss, logp_bg, logp_fg
 
 
 def foreground_probs(a_cls: Tensor) -> Tensor:
@@ -233,18 +234,15 @@ def two_stage_ce(a_cls: Tensor, labels: LabelMap,
     """Cross-entropy plus a second pass restricted to hard negatives.
 
     The second stage re-penalizes negatives whose foreground confidence
-    exceeds ``tau_neg`` (mean of -log p_bg over that subset). With no
+    exceeds ``tau_neg`` (mean of -log p_bg over that subset). Both stages
+    and the choice of hard negatives read one log-softmax map. With no
     hard negatives this is exactly ``cross_entropy``.
     """
-    base = cross_entropy(a_cls, labels)
-    p_fg = foreground_probs(a_cls)
+    base, logp_bg, logp_fg = _split_ce(a_cls, labels)
     neg_idx = labels.neg_flat()
-    hard = neg_idx[p_fg.data[neg_idx] > tau_neg]
+    hard = neg_idx[np.exp(logp_fg.data[neg_idx]) > tau_neg]
     if hard.size == 0:
         return base
-    logp = nm.log_softmax(a_cls, axis=0)
-    h, w = a_cls.data.shape[1:]
-    logp_bg = nm.reshape(logp[0], (h * w,))
     return nm.add(base, nm.mul(nm.sum_(logp_bg[hard]), -1.0 / hard.size))
 
 

@@ -1,18 +1,19 @@
 """Float64 tensors with recorded reverse-mode differentiation.
 
 Every differentiable quantity in this library flows through the ops
-here. The arithmetic surface is deliberately small: add, mul, valid
-conv2d, relu, exp, log, softplus, sum/mean/max reductions, elementwise
-maximum/minimum, and softmax. Shape plumbing (reshape, indexing) moves
-data without arithmetic. Everything else in the repo composes from
-these, which keeps the differentiation surface auditable. ``matmul``,
-``concat`` and ``transpose`` are not used by the model: they are the
-reference composition that the tests hold ``correlation.pw_corr`` and
-``correlation.dw_corr`` to, bit for bit. Two layers are recorded as
-single nodes that give the bits of their compositions:
-``conv2d(x, k, stride, bias=b, relu=True)``, a conv layer with its bias
-add and ReLU, and ``correlation.pw_corr``, the attention of template
-features over search features.
+here. The arithmetic surface is deliberately small: add, sub, mul,
+valid conv2d, exp, softplus, sum/mean reductions, softmax and
+log-softmax. Shape plumbing (reshape, indexing) moves data without
+arithmetic. Everything else in the repo composes from these, apart from
+three nodes built on ``_from_op`` elsewhere: ``correlation.dw_corr``,
+``correlation.pw_corr`` (the attention of template features over search
+features) and ``geometry.iou_tensor`` (box IoU with a closed-form
+gradient). ``matmul``, ``concat``, ``transpose`` and ``relu`` are not used
+by the model: they are the reference compositions that the tests hold
+the correlations and the fused conv layer to, bit for bit.
+``conv2d(x, k, stride, bias=b, relu=True)`` records a conv layer with its
+bias add and ReLU as one node with the bits of that composition, and
+``log_softmax`` is one node with the forward bits of its composition.
 
 All storage is float64. Every op validates that its output is finite
 and raises :class:`NonFiniteError` instead of propagating NaN/Inf.
@@ -41,7 +42,9 @@ and change the rounding. Training relies on this to hold one sample's
 graph at a time.
 
 The recorded graph belongs to the thread that built it; tensors
-themselves are plain values and safe to hand between threads.
+themselves are plain values and safe to hand between threads. Importing
+this module pins numpy's bundled OpenBLAS to one thread, so a seed gives
+the same bits whatever thread count the environment asks for.
 """
 
 from __future__ import annotations
@@ -55,31 +58,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "NonFiniteError",
-    "Tensor",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "matmul",
-    "conv2d",
-    "relu",
-    "exp",
-    "log",
-    "softplus",
-    "concat",
-    "reshape",
-    "transpose",
-    "sum_",
-    "mean",
-    "max_reduce",
-    "maximum",
-    "minimum",
-    "softmax",
-    "log_softmax",
-    "backward",
-    "finite_diff_check",
+    "NonFiniteError", "Tensor", "add", "sub", "mul", "matmul", "conv2d", "relu",
+    "exp", "softplus", "concat", "reshape", "transpose", "sum_", "mean", "softmax",
+    "log_softmax", "backward", "finite_diff_check",
 ]
 
 
@@ -113,13 +94,9 @@ _keep_freed_heap()
 
 
 def _pin_blas_threads() -> None:
-    """Run numpy's bundled OpenBLAS on one thread, so a seed gives one set
-    of bits whatever ``OPENBLAS_NUM_THREADS`` and the core count say.
-
-    Some 127/255 matmul shapes round differently when OpenBLAS splits them
-    over two threads. The environment variable acts only before numpy
-    loads; the library's own setter acts at any time. Warns when numpy
-    ships no scipy-openblas or the setter is missing.
+    """Run numpy's bundled OpenBLAS on one thread: some 127/255 matmul
+    shapes round differently when it splits them over two. The environment
+    variable acts only before numpy loads; the library's setter at any time.
     """
     pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                            "libscipy_openblas*.so")
@@ -131,7 +108,6 @@ def _pin_blas_threads() -> None:
                       RuntimeWarning)
         return
     set_threads.argtypes = (ctypes.c_int,)
-    set_threads.restype = None
     set_threads(1)
 
 
@@ -252,17 +228,8 @@ def mul(a, b) -> Tensor:
     return _from_op(a.data * b.data, (a, b), bw, "mul")
 
 
-def neg(a) -> Tensor:
-    return mul(a, -1.0)
-
-
 def sub(a, b) -> Tensor:
-    return add(a, neg(b))
-
-
-def div(a, b) -> Tensor:
-    """a / b for strictly positive b, composed as a * exp(-log(b))."""
-    return mul(a, exp(neg(log(b))))
+    return add(a, mul(b, -1.0))
 
 
 def relu(a) -> Tensor:
@@ -286,21 +253,6 @@ def exp(a) -> Tensor:
     return _from_op(out, (a,), bw, "exp")
 
 
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    x = a.data
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            out = np.log(x)
-        except FloatingPointError:
-            raise NonFiniteError("log of a non-positive value") from None
-
-    def bw(g):
-        return (g / x,)
-
-    return _from_op(out, (a,), bw, "log")
-
-
 def softplus(a) -> Tensor:
     """log(1 + exp(a)) evaluated as max(a, 0) + log1p(exp(-|a|))."""
     a = _as_tensor(a)
@@ -312,23 +264,6 @@ def softplus(a) -> Tensor:
         return (g * sig,)
 
     return _from_op(out, (a,), bw, "softplus")
-
-
-def maximum(a, b) -> Tensor:
-    """Elementwise max; on ties the gradient flows to the first argument."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    take_a = a.data >= b.data
-    sa, sb = a.data.shape, b.data.shape
-
-    def bw(g):
-        return (_unbroadcast(g * take_a, sa),
-                _unbroadcast(g * ~take_a, sb))
-
-    return _from_op(np.where(take_a, a.data, b.data), (a, b), bw, "maximum")
-
-
-def minimum(a, b) -> Tensor:
-    return neg(maximum(neg(a), neg(b)))
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -544,37 +479,6 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
     return _from_op(np.mean(a.data, axis=axis, keepdims=keepdims), (a,), bw, "mean")
 
 
-def max_reduce(a, axis=None, keepdims=False) -> Tensor:
-    """Max reduction; ties send the whole gradient to the first maximum."""
-    a = _as_tensor(a)
-    data = a.data
-    if axis is None:
-        flat_idx = int(np.argmax(data))
-        out = data.reshape(-1)[flat_idx]
-        if keepdims:
-            out = np.full((1,) * data.ndim, out)
-
-        def bw(g):
-            ga = np.zeros_like(data)
-            ga.reshape(-1)[flat_idx] = np.asarray(g).reshape(-1)[0]
-            return (ga,)
-
-        return _from_op(out, (a,), bw, "max")
-
-    idx = np.argmax(data, axis=axis)
-    out = np.take_along_axis(data, np.expand_dims(idx, axis), axis=axis)
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
-
-    def bw(g):
-        ga = np.zeros_like(data)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        np.put_along_axis(ga, np.expand_dims(idx, axis), gg, axis=axis)
-        return (ga,)
-
-    return _from_op(out, (a,), bw, "max")
-
-
 # -- softmax ------------------------------------------------------------------
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -594,11 +498,19 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
-    """Stable log-softmax composed from max/sub/exp/sum/log."""
+    """Stable log-softmax along ``axis``: a - max - log(sum(exp(a - max))).
+
+    The gradient is g - softmax * sum(g), with the softmax read back as
+    exp of the output.
+    """
     a = _as_tensor(a)
-    m = max_reduce(a, axis=axis, keepdims=True)
-    shifted = sub(a, m)
-    return sub(shifted, log(sum_(exp(shifted), axis=axis, keepdims=True)))
+    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+
+    def bw(g):
+        return (g - np.exp(out) * np.sum(g, axis=axis, keepdims=True),)
+
+    return _from_op(out, (a,), bw, "log_softmax")
 
 
 # -- backward pass ------------------------------------------------------------

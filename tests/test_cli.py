@@ -142,8 +142,8 @@ rank_iou = yes
 """
 TRAIN_ARTIFACT_GOLDENS = {
     "manifest.txt": "4ba55acda62e4964c3745e41698c985937047a14570a065e1f5cc21b3c6d07b8",
-    "runlog.csv": "c015f286f6ced1410020065a761a575051e598338150d67eb4cff441576734a1",
-    "checkpoint.bin": "4857bd9269c352e5ad945cb6f8556e587942ab4df6d728456aad5bdcf69a16ed",
+    "runlog.csv": "8ac5d86f7c878c2da95bc37c913e72788c9b73e50c06667367c526cceb99c626",
+    "checkpoint.bin": "fec2587bd971155d34c126dd36ea2657597fd9b0e2a1cf9ab428f06c33f447aa",
 }
 SPEC_TEXTS = {
     "drawn": ("seed = 3\nframes = 2\nshape = ellipse\n", []),

@@ -153,7 +153,7 @@ class TestIoULossTensor:
     def test_perfect_prediction(self):
         gt = Box(10, 20, 50, 80)
         loss = loc_loss(Tensor(gt.as_array()), gt)
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        assert loss.item() == 0.0
 
     def test_disjoint_is_one(self):
         loss = loc_loss(Tensor([0.0, 0.0, 5.0, 5.0]), Box(50, 50, 80, 80))
@@ -167,6 +167,15 @@ class TestIoULossTensor:
     def test_zero_area_pred_flat_region(self):
         pred = Tensor([30.0, 30.0, 30.0, 30.0], requires_grad=True)
         loss = loc_loss(pred, Box(10, 10, 50, 50))
+        assert loss.item() == 1.0
+        backward(loss)
+        np.testing.assert_array_equal(pred.grad, np.zeros(4))
+
+    def test_prediction_touching_an_edge_is_flat(self):
+        # zero overlap width with a positive overlap height: the ReLU mask is
+        # > 0, so the width passes no gradient
+        pred = Tensor([-8.0, 0.0, 0.0, 8.0], requires_grad=True)
+        loss = loc_loss(pred, Box(0, 0, 8, 8))
         assert loss.item() == 1.0
         backward(loss)
         np.testing.assert_array_equal(pred.grad, np.zeros(4))
@@ -186,6 +195,35 @@ class TestIoULossTensor:
             b = Box(c[0], c[1], c[0] + w, c[1] + h)
             got = iou_tensor(Tensor(b.x1), Tensor(b.y1), Tensor(b.x2), Tensor(b.y2), gt)
             assert got.item() == pytest.approx(iou(b, gt), abs=1e-12)
+
+    def test_prediction_equal_to_its_ground_truth_is_exactly_one(self):
+        rng = np.random.default_rng(17)
+        corners = rng.uniform(-50, 250, (2000, 2))
+        extents = np.exp(rng.uniform(np.log(1e-3), np.log(300), (2000, 2)))
+        for (x, y), (w, h) in zip(corners, extents):
+            gt = Box(x, y, x + w, y + h)
+            got = iou_tensor(*(Tensor(v) for v in gt.as_array()), gt)
+            assert got.item() == 1.0, gt
+
+    def test_never_above_one(self):
+        rng = np.random.default_rng(18)
+        gt = Box(20, 30, 60, 75)
+        x1, y1 = rng.uniform(0, 80, (2, 4000))
+        x2, y2 = x1 + rng.uniform(0, 60, 4000), y1 + rng.uniform(0, 60, 4000)
+        out = iou_tensor(Tensor(x1), Tensor(y1), Tensor(x2), Tensor(y2), gt)
+        assert out._op == "iou" and 0.0 <= out.data.min() and out.data.max() <= 1.0
+
+    @pytest.mark.parametrize("pred,want", [
+        ((0.0, 0.0, 8.0, 8.0), (-1 / 8, -1 / 8, 1 / 8, 1 / 8)),
+        ((0.0, 0.0, 8.0, 4.0), (-1 / 16, -1 / 8, 1 / 16, 1 / 8)),
+    ])
+    def test_tied_edges_send_the_intersection_gradient_to_the_prediction(self, pred, want):
+        # an edge that ties the ground truth's moves the intersection as a
+        # predicted edge inside it would; were the tie the ground truth's,
+        # x1 of the second case would get +1/32 from the area alone
+        coords = [Tensor(v, requires_grad=True) for v in pred]
+        backward(iou_tensor(*coords, Box(0, 0, 8, 8)))
+        assert [c.grad.item() for c in coords] == list(want)
 
     def test_vectorized_matches_scalar(self):
         gt = Box(0, 0, 10, 10)

@@ -8,6 +8,17 @@ im2col of non-overlapping convolutions, gradients only for the parents
 that need them and once-per-sequence template features. Each of those is
 meant to change no bit, so these digests must never be updated to make a
 speed-up pass.
+
+The training digests moved twice on purpose. The paper-preset ``train``
+digest was taken at two BLAS threads; once ``numerics`` pinned OpenBLAS
+to one thread it became the single-thread bits of the same code, which
+the benchmark already computed. Then the IoU and the log-softmax became
+single nodes with closed-form gradients and a true division, in place of
+``inter * exp(-log union)`` and a six-node composition: the log-softmax
+forward kept its bits, but the gradients differ in the last bits, and the
+IoU of a prediction equal to its ground truth is now exactly 1. Putting
+the composed ops back restores every earlier digest; the sequence, eval
+and ``track_step`` digests did not move.
 """
 
 import hashlib
@@ -46,8 +57,8 @@ EVAL_GOLDENS = {
 }
 
 TRAIN_GOLDENS = {
-    "plain": "82745a41d15c4abc08e100ab84019834dc999cf4771a308292b49b1d4a7b3fc4",
-    "cr_igr": "89474d68ab1c7236ca26532b8f4385fbc3cd964f3cd6067595efde9ac26bd7d5",
+    "plain": "1311ece25b8997c9eae3179fcd308d59390c6b6536470290b9249fe9385aa309",
+    "cr_igr": "cc3e5e121ed4a1b48fabc30c072312840d5dc6bb9ee226d5ec3f1e2434fcebfa",
 }
 TRAIN_OVERRIDES = {"plain": {}, "cr_igr": {"rank_cls": True, "rank_iou": True}}
 
@@ -101,7 +112,7 @@ def test_train_golden(arm):
 # so its last row and column lie outside every 2x2 window and get a zero
 # gradient; the 64/128 goldens never reach that case.
 PAPER_GOLDENS = {
-    "train": "8528740aaba7ea567df46c1f86f4cdec7275dfa42503d066b1698f8918dc7b18",
+    "train": "b2a936340d2b492a8052715ecd095b59cfbc33a0bd14425581f06542746ac730",
     "track_step": "27a994f3d901b2d1aef9c8387445ec5bbbaf1024ae38e7e2231b738ad7223e5c",
 }
 

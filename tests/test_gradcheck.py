@@ -18,14 +18,14 @@ SUITE_GOLDENS = {
     "conv2d": "1.5497783394676747e-08",
     "dw_corr": "3.101773514664717e-07",
     "pw_corr": "1.19793818642283e-09",
-    "cross_entropy": "1.7041007108039767e-09",
-    "iou_loss": "1.1354562928793081e-09",
+    "cross_entropy": "1.704101900056832e-09",
+    "iou_loss": "5.185762921121556e-10",
     "expectations": "2.6591295721041133e-11",
     "rank_cls_loss": "1.6418300184291987e-11",
     "rank_iou_loss(frozen)": "2.8190017058204465e-09",
     "rank_iou_loss_ori": "2.8740715214471346e-09",
     "combine": "6.988898348447898e-11",
-    "end_to_end_total": "1.1082832490333804e-07",
+    "end_to_end_total": "1.1082832453951831e-07",
 }
 
 

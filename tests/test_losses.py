@@ -320,6 +320,17 @@ class TestTwoStageCE:
         labels = labels_from_codes([[1, 0]])
         assert two_stage_ce(a := Tensor(a), labels).item() < 1e-6
 
+    def test_one_log_softmax_serves_both_stages(self):
+        a, labels = self.build([0.9, 0.8, 0.6, 0.2], [1, 0, 0, 0])
+        loss = two_stage_ce(Tensor(a.data, requires_grad=True), labels, 0.5)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(p for p in node._parents if p is not None and id(p) not in nodes)
+        ops = [node._op for node in nodes.values()]
+        assert ops.count("log_softmax") == 1 and "softmax" not in ops
+
     def test_second_stage_averages_over_hard_set(self):
         a, labels = self.build([0.9, 0.8, 0.6, 0.2], [1, 0, 0, 0])
         got = two_stage_ce(a, labels, 0.5).item()
@@ -371,9 +382,11 @@ class TestRankBatchValidation:
         with pytest.raises(ValueError):
             make_batch([1.5], [0.5])
 
-    def test_iou_ulp_slack_allowed(self):
-        b = make_batch([0.5], [1.0 + 1e-13])
-        assert b.n_pos == 1
+    def test_iou_above_one_rejected(self):
+        assert make_batch([0.5, 0.5], [0.0, 1.0]).n_pos == 2
+        for v in (1.0 + 2.0 ** -52, -5e-324):
+            with pytest.raises(ValueError):
+                make_batch([0.5], [v])
 
 
 class TestLossesNonNegative:

@@ -5,8 +5,10 @@ be read somewhere in the program, ``src/`` or ``bench/``: by its own module,
 through a ``from ... import`` of it, or as an attribute of its module
 (``nm.conv2d``). Imports, definitions, export lists, docstrings and
 comments do not count, and neither does an attribute of the same name on
-something else (``bytes.decode``). The only exceptions are the reference
-ops below, kept for the tests that hold the fused ops to them bit for bit.
+something else (``bytes.decode``) or a parameter of the same name read
+inside its function (``conv2d``'s ``relu=``). The only exceptions are the
+reference ops below, kept for the tests that hold the fused ops to them bit
+for bit.
 """
 
 import ast
@@ -21,6 +23,7 @@ REFERENCE_OPS = {
     "matmul": "test_correlation.py",     # composed_pw_corr, TestPwCorrBits
     "transpose": "test_correlation.py",  # composed_pw_corr
     "concat": "test_correlation.py",     # TestDwCorr per-channel conv composition
+    "relu": "test_numerics.py",          # composed_layer, TestConv2dFusedLayer
 }
 
 
@@ -46,8 +49,10 @@ def _reads(path: Path) -> set[tuple[str, str]]:
             else:
                 imported[local] = (package, alias.name)
     reads = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+
+    def visit(node, params: frozenset[str]) -> None:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                and node.id not in params:
             if node.id in imported:
                 reads.add(imported[node.id])
             elif here:
@@ -55,6 +60,16 @@ def _reads(path: Path) -> set[tuple[str, str]]:
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
               and node.value.id in modules):
             reads.add((modules[node.value.id], node.attr))
+        body, inner = (), params
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            # a parameter shadows the module-level name in the body only;
+            # defaults and decorators are read in the enclosing scope
+            body = node.body if isinstance(node.body, list) else [node.body]
+            inner = params | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, inner if any(child is b for b in body) else params)
+
+    visit(tree, frozenset())
     return reads
 
 
