@@ -80,6 +80,40 @@ def test_gen_sequence_golden(shape, noise_sigma):
     assert sequence_digest(shape, noise_sigma) == SEQUENCE_GOLDENS[(shape, noise_sigma)]
 
 
+# Over a grid of specs per image size, wider than the defaults above: every
+# family, 0-3 distractors, 0-5 clutter objects, similarity 0 to 1, noise
+# sigma 0/0.05/0.2, motion sigma 0/3/19, 1-9 frames and a fixed colour; the
+# digest covers frames, ground truth and distractor boxes. Taken before the
+# noise of a frame was drawn in one block.
+GRID_GOLDENS = {
+    64: "2016df1f2c3b6b38c3c65539cf291b1d8c46caeb2e25e5be7c026ba63cf04db7",
+    160: "a2a5c4eef3dca6882a6fdd4f96d08a309f76d4862e37755b9398b93b9b5dce36",
+    200: "981a7ace70842b649b4a03031896a8688ad0bded8d913f4c925e68ed6a1a5336",
+}
+
+
+def generation_grid(image_size: int) -> list[SequenceSpec]:
+    target_size = {64: 14.0, 160: 26.0, 200: 40.0}[image_size]
+    return [SequenceSpec(
+        seed=1000 * image_size + i, frames=1 + i % 9, image_size=image_size,
+        shape=SHAPE_FAMILIES[i % 3], target_size=target_size,
+        distractors=i % 4, similarity=(0.0, 0.5, 0.85, 1.0)[i // 3 % 4],
+        clutter=i // 2 % 6, motion_sigma=(0.0, 3.0, 19.0)[i // 4 % 3],
+        noise_sigma=(0.0, 0.05, 0.2)[i // 5 % 3],
+        color=(0.9, 0.2, 0.55) if i % 7 == 6 else None) for i in range(20)]
+
+
+@pytest.mark.parametrize("image_size", GRID_GOLDENS)
+def test_generation_grid_golden(image_size):
+    h = hashlib.sha256()
+    for spec in generation_grid(image_size):
+        seq = gen_sequence(spec)
+        for frame, gt, boxes in zip(seq.frames, seq.gt, seq.distractor_boxes):
+            h.update(frame.tobytes())
+            h.update(repr([(b.x1, b.y1, b.x2, b.y2) for b in [gt, *boxes]]).encode())
+    assert h.hexdigest() == GRID_GOLDENS[image_size]
+
+
 def eval_file_digests(tmp_path) -> dict[str, str]:
     argv = eval_argv(tmp_path, quick_config(eval_sequences=3, eval_frames=5))
     assert cli.main(argv) == cli.EXIT_OK
