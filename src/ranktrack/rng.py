@@ -15,7 +15,10 @@ The generator is counter-based: the k-th word after state s is
 Easy as 1, 2, 3", SC'11). ``normals`` uses that to compute a block of
 words with numpy. It returns exactly the values of the same number of
 ``normal`` calls and leaves the stream in exactly the same state, so
-block and scalar draws give one stream. The uint64 words and the
+block and scalar draws give one stream. The mean may differ per element:
+a block with a length-``count`` array ``mu`` gives the values of the
+calls ``normal(mu[0], sigma)``, ``normal(mu[1], sigma)``, ... in turn,
+so one call can draw what several scalar-mean blocks would. The uint64 words and the
 arithmetic around the transcendentals are IEEE-exact in numpy, but
 ``np.log`` is not correctly rounded: it differs from ``math.log`` in
 the last bit on about 0.3% of uniform inputs (numpy 2.4, x86-64). So
@@ -96,14 +99,17 @@ class SplitMix64:
         self._spare_normal = r * math.sin(_TWO_PI * u2)
         return mu + sigma * r * math.cos(_TWO_PI * u2)
 
-    def normals(self, mu: float, sigma: float, count: int) -> np.ndarray:
-        """``count`` normals as a float64 array: the values of ``count``
-        ``normal(mu, sigma)`` calls, leaving the stream in the same state."""
+    def normals(self, mu: float | np.ndarray, sigma: float, count: int) -> np.ndarray:
+        """``count`` normals as a float64 array, leaving the stream in the
+        state ``count`` ``normal`` calls leave it in. Element k is the value
+        of the k-th of those calls, ``normal(mu, sigma)`` for a scalar
+        ``mu`` and ``normal(mu[k], sigma)`` for a length-``count`` array."""
+        mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), (count,))
         state, spare = self._state, self._spare_normal
         out = np.empty(count)
         start = 0
         if count and spare is not None:
-            out[0] = mu + sigma * spare
+            out[0] = mu[0] + sigma * spare
             self._spare_normal = None
             start = 1
         pairs = (count - start + 1) // 2
@@ -116,15 +122,15 @@ class SplitMix64:
         if not u1.all():
             # the scalar path redraws u1 == 0, which shifts the whole stream
             self._state, self._spare_normal = state, spare
-            return np.array([self.normal(mu, sigma) for _ in range(count)])
-        r = np.sqrt(-2.0 * np.array(list(map(math.log, u1.tolist()))))
+            return np.array([self.normal(m, sigma) for m in mu.tolist()])
+        r = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
         theta = (_TWO_PI * u2).tolist()
-        cos = np.array(list(map(math.cos, theta)))
-        sin = r * np.array(list(map(math.sin, theta)))
+        cos = np.fromiter(map(math.cos, theta), np.float64, pairs)
+        sin = r * np.fromiter(map(math.sin, theta), np.float64, pairs)
         # the operation order of ``normal``: mu + (sigma * r) * cos for the
         # first of a pair, mu + sigma * (r * sin) for the spare
-        out[start::2] = mu + (sigma * r) * cos
-        out[start + 1::2] = mu + sigma * sin[:(count - start) // 2]
+        out[start::2] = mu[start::2] + (sigma * r) * cos
+        out[start + 1::2] = mu[start + 1::2] + sigma * sin[:(count - start) // 2]
         if (count - start) % 2:
             self._spare_normal = float(sin[-1])
         self._state = (self._state + 2 * pairs * _GOLDEN) & _MASK64

@@ -13,6 +13,14 @@ Frames are RGB float rasters in [0, 1], shaped (3, H, W). Motion is an
 independent per-object random walk with step sigma in pixels, clamped
 to keep boxes inside the image.
 
+Each frame is painted in three steps. First every object's window and
+shape mask are computed, in paint order: clutter, distractors, target.
+Then one ``normals`` block from the frame's noise stream draws every
+painted pixel, object by object and channel by channel, with each
+object's colour as the mean; it is clipped to [0, 1] once. Last, each
+object's pixels are pasted in paint order, so a later object covers an
+earlier one where they overlap.
+
 A generated frame is mostly flat background, so ``PaintedFrames`` keeps
 its colour plus each painted object's window, about a seventh of the
 dense raster, and rebuilds the painted bytes on every read.
@@ -115,7 +123,7 @@ class Sequence:
 def _shape_mask(shape: str, ys: np.ndarray, xs: np.ndarray, box: Box) -> np.ndarray:
     """Boolean raster of a filled shape inscribed in ``box``, sampled at the
     pixel-center rows ``ys`` and columns ``xs``."""
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    yy, xx = ys[:, None], xs[None, :]
     if shape == "rect":
         return (xx >= box.x1) & (xx <= box.x2) & (yy >= box.y1) & (yy <= box.y2)
     if shape == "ellipse":
@@ -139,22 +147,6 @@ def _shape_window(box: Box, h: int, w: int) -> tuple[slice, slice]:
     def span(lo: float, hi: float, n: int) -> slice:
         return slice(min(max(math.floor(lo) - 1, 0), n), min(max(math.ceil(hi) + 1, 0), n))
     return span(box.y1, box.y2, h), span(box.x1, box.x2, w)
-
-
-def _paint(img: np.ndarray, shape: str, box: Box, color: np.ndarray,
-           noise: SplitMix64, noise_sigma: float) -> tuple[slice, slice] | None:
-    """Paint a noisy filled shape into ``img``; returns the window it may
-    have touched, or None when no pixel center fell inside the shape."""
-    rows, cols = _shape_window(box, img.shape[1], img.shape[2])
-    mask = _shape_mask(shape, np.arange(rows.start, rows.stop) + 0.5,
-                       np.arange(cols.start, cols.stop) + 0.5, box)
-    count = int(mask.sum())
-    if count == 0:
-        return None
-    for ch in range(3):
-        vals = noise.normals(color[ch], noise_sigma, count)
-        img[ch, rows, cols][mask] = np.clip(vals, 0.0, 1.0)
-    return rows, cols
 
 
 def _walk(rng: SplitMix64, start: tuple[float, float], frames: int, sigma: float,
@@ -234,32 +226,40 @@ def gen_sequence(spec: SequenceSpec) -> Sequence:
     windows, gts, dist_boxes = [], [], []
     img = np.empty((3, size, size))  # scratch raster, repainted every frame
     for t in range(spec.frames):
-        noise = root.spawn(_DOMAIN_NOISE, t)
-        for ch in range(3):
-            img[ch].fill(bg[ch])
-
-        painted = []
-        for fam, chalf, ccolor, centers in clutter_items:
-            cx, cy = centers[t]
-            painted.append(_paint(img, fam, Box(cx - chalf, cy - chalf, cx + chalf, cy + chalf),
-                                  ccolor, noise, spec.noise_sigma))
-
         gt_cx, gt_cy = target_centers[t]
         gt = Box(gt_cx - half_t, gt_cy - half_t, gt_cx + half_t, gt_cy + half_t)
-
         boxes_t = []
         for d in range(spec.distractors):
             dcx, dcy = dist_centers[d][t]
             dh = dist_halves[d]
-            db = Box(dcx - dh, dcy - dh, dcx + dh, dcy + dh)
-            boxes_t.append(db)
-            painted.append(_paint(img, spec.shape, db, dist_colors[d], noise, spec.noise_sigma))
+            boxes_t.append(Box(dcx - dh, dcy - dh, dcx + dh, dcy + dh))
 
-        painted.append(_paint(img, spec.shape, gt, color, noise, spec.noise_sigma))
+        objects = []  # (family, box, colour) in paint order
+        for fam, chalf, ccolor, centers in clutter_items:
+            cx, cy = centers[t]
+            objects.append((fam, Box(cx - chalf, cy - chalf, cx + chalf, cy + chalf), ccolor))
+        objects += [(spec.shape, db, dcolor) for db, dcolor in zip(boxes_t, dist_colors)]
+        objects.append((spec.shape, gt, color))
 
-        # copied after the last paint, so overlapping windows agree
+        painted, counts = [], []
+        for shape, box, _ in objects:
+            rows, cols = _shape_window(box, size, size)
+            mask = _shape_mask(shape, np.arange(rows.start, rows.stop) + 0.5,
+                               np.arange(cols.start, cols.stop) + 0.5, box)
+            painted.append((rows, cols, mask))
+            counts.append(np.count_nonzero(mask))
+        mu = np.repeat([c for _, _, c in objects], np.repeat(counts, 3))
+        vals = np.clip(root.spawn(_DOMAIN_NOISE, t).normals(mu, spec.noise_sigma, mu.size),
+                       0.0, 1.0)
+
+        img[:] = bg[:, None, None]
+        start = 0
+        for (rows, cols, mask), count in zip(painted, counts):
+            img[:, rows, cols][:, mask] = vals[start:start + 3 * count].reshape(3, count)
+            start += 3 * count
+        # copied after the last paste, so overlapping windows agree
         windows.append([(rows, cols, img[:, rows, cols].copy())
-                        for rows, cols in filter(None, painted)])
+                        for (rows, cols, _), count in zip(painted, counts) if count])
         gts.append(gt)
         dist_boxes.append(boxes_t)
 
