@@ -7,12 +7,15 @@ floats with ``repr``, tuples as comma-joined ``repr``s, other values with
 ``str``, and fields that are None not at all. ``from_kv`` reads them back:
 it rejects unknown keys, parses each present field as the type of its
 default (a None default reads a tuple of floats), names the field in every
-error, and ends with the class's ``validate()``.
+error, and ends with the class's ``validate()``. Each ``validate()`` starts
+with ``check_finite``, so a NaN or infinite float never gets past the range
+checks, which NaN would pass.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import fields
 
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
@@ -78,6 +81,16 @@ def from_kv(cls, kv: dict[str, str]):
     obj = cls(**args)
     obj.validate()
     return obj
+
+
+def check_finite(obj) -> None:
+    """Raise a ConfigError naming the first float field of the dataclass
+    ``obj``, or float in a tuple field, that is NaN or infinite."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if any(isinstance(x, float) and not math.isfinite(x)
+               for x in (v if isinstance(v, tuple) else (v,))):
+            raise ConfigError(f"field {f.name!r} must be finite, got {v!r}")
 
 
 def sha256_text(text: str) -> str:

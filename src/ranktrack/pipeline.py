@@ -97,6 +97,7 @@ class TrainConfig:
     eval_jitter: float = 12.0
 
     def validate(self) -> None:
+        configio.check_finite(self)
         if self.corr_mode not in ("dw", "pw"):
             raise ConfigError("corr_mode must be 'dw' or 'pw'")
         if self.rank_iou and self.rank_iou_ori:

@@ -63,12 +63,15 @@ class SequenceSpec:
     color: tuple[float, float, float] | None = None  # None: drawn from seed
 
     def validate(self) -> None:
+        configio.check_finite(self)
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.shape not in SHAPE_FAMILIES:
             raise ValueError(f"unknown shape family: {self.shape}")
         if not (0.0 <= self.similarity <= 1.0):
             raise ValueError("similarity must lie in [0, 1]")
+        if self.target_size <= 0:
+            raise configio.ConfigError("field 'target_size' must be positive")
         if self.target_size >= self.image_size / 2:
             raise ValueError("image too small for the configured target size")
         if self.distractors < 0 or self.clutter < 0:
@@ -415,7 +418,10 @@ def _read_ppm(path: str) -> np.ndarray:
         raise ValueError(f"not a binary PPM file: {path}")
     w, h, maxval = (int(g) for g in m.groups())
     if maxval != 255:
-        raise ValueError("only maxval 255 PPMs are supported")
+        raise ValueError(f"{path}: only maxval 255 PPMs are supported")
+    if len(blob) - m.end() < h * w * 3:
+        raise ValueError(f"{path}: truncated: {len(blob) - m.end()} pixel bytes "
+                         f"for a {w}x{h} image, expected {h * w * 3}")
     raw = np.frombuffer(blob[m.end():], dtype=np.uint8, count=h * w * 3)
     return raw.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
@@ -448,8 +454,11 @@ def export_sequence(seq: Sequence, out_dir: str) -> None:
 
 
 def import_sequence(in_dir: str) -> Sequence:
-    """Read a directory written by ``export_sequence``; raises ValueError
-    when frames differ in shape or a box block lacks a frame's line."""
+    """Read a directory written by ``export_sequence``; raises a ValueError
+    that names the file, and for annotations the line, when a frame is not
+    a whole PPM, frames differ in shape, an annotation line is not a valid
+    "frame x1 y1 x2 y2" box, a box block lacks a frame's line or spec.txt
+    does not hold a valid spec."""
     names = sorted(n for n in os.listdir(in_dir) if n.startswith("frame_") and n.endswith(".ppm"))
     if not names:
         raise ValueError(f"no frames found in {in_dir}")
@@ -458,17 +467,26 @@ def import_sequence(in_dir: str) -> Sequence:
         if frame.shape != frames[0].shape:
             raise ValueError(f"{in_dir}: {name} has shape {frame.shape}, {names[0]} {frames[0].shape}")
 
-    with open(os.path.join(in_dir, "annotations.txt")) as f:
-        text = f.read()
-    blocks = [b for b in text.split("\n\n") if b.strip()]
+    ann_path = os.path.join(in_dir, "annotations.txt")
+    with open(ann_path) as f:
+        lines = f.read().splitlines()
+    blocks: list[dict[int, Box]] = []  # one per run of non-blank lines
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        if lineno == 1 or not lines[lineno - 2].strip():
+            blocks.append({})
+        try:
+            t, *xyxy = line.split()
+            if len(xyxy) != 4:
+                raise ValueError(f"expected 'frame x1 y1 x2 y2', got {line!r}")
+            blocks[-1][int(t)] = Box(*map(float, xyxy))
+        except ValueError as e:
+            raise ValueError(f"{ann_path}: line {lineno}: {e}") from None
     if not blocks:
         raise ValueError(f"{in_dir}: annotations.txt has no target block")
     parsed: list[list[Box]] = []
-    for k, block in enumerate(blocks):
-        boxes = {}
-        for line in block.strip().splitlines():
-            t, x1, y1, x2, y2 = line.split()
-            boxes[int(t)] = Box(float(x1), float(y1), float(x2), float(y2))
+    for k, boxes in enumerate(blocks):
         missing = [t for t in range(len(frames)) if t not in boxes]
         if missing:
             raise ValueError(f"{in_dir}: annotation block {k} has no line for frame {missing[0]}")
@@ -478,7 +496,11 @@ def import_sequence(in_dir: str) -> Sequence:
     spec_path = os.path.join(in_dir, "spec.txt")
     if os.path.exists(spec_path):
         with open(spec_path) as f:
-            spec = configio.from_kv(SequenceSpec, configio.parse_kv(f.read()))
+            text = f.read()
+        try:
+            spec = configio.from_kv(SequenceSpec, configio.parse_kv(text))
+        except ValueError as e:
+            raise ValueError(f"{spec_path}: {e}") from None
 
     distractors = [[parsed[d + 1][t] for d in range(len(parsed) - 1)]
                    for t in range(len(frames))]

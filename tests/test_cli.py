@@ -126,6 +126,35 @@ class TestBadSequenceDirs:
         assert code == cli.EXIT_CONFIG
         _only_error_line(err, "frame_000002.ppm has shape (3, 80, 80)")
 
+    def test_truncated_frame(self, tmp_path, capsys):
+        argv, seq_dir = self.exported(tmp_path)
+        frame = seq_dir / "frame_000001.ppm"
+        frame.write_bytes(frame.read_bytes()[:-1])
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, f"{frame}: truncated: 76799 pixel bytes for a 160x160 image")
+
+    def test_annotation_line_without_five_fields(self, tmp_path, capsys):
+        argv, seq_dir = self.exported(tmp_path)
+        ann = seq_dir / "annotations.txt"
+        lines = ann.read_text().split("\n")
+        lines[2] = " ".join(lines[2].split()[:4])
+        ann.write_text("\n".join(lines))
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, f"{ann}: line 3: expected 'frame x1 y1 x2 y2'")
+
+    def test_annotation_box_inside_out(self, tmp_path, capsys):
+        argv, seq_dir = self.exported(tmp_path)
+        ann = seq_dir / "annotations.txt"
+        lines = ann.read_text().split("\n")
+        t, x1, y1, x2, y2 = lines[7].split()
+        lines[7] = " ".join([t, x2, y1, x1, y2])
+        ann.write_text("\n".join(lines))
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, f"{ann}: line 8: degenerate box extents")
+
 
 # sha256 of the files `train` and `synth` write, taken before the config codec
 # and the command error handling were rewritten; that rewrite keeps every byte.
@@ -193,6 +222,12 @@ CASE_TEXTS = {
     "bad-value": "frames = abc\n",
     "two-colour-components": "color = 0.1,0.2\n",
     "diverges": TINY_CONFIG + "lr = 1e6\n",
+    "nan-noise": "noise_sigma = nan\n",
+    "infinite-motion": "motion_sigma = inf\n",
+    "nan-colour": "color = 0.1,nan,0.2\n",
+    "zero-target": "target_size = 0\n",
+    "nan-lr": TINY_CONFIG + "lr = nan\n",
+    "infinite-shift": TINY_CONFIG + "shift_aug = -inf\n",
 }
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
@@ -200,6 +235,13 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("synth-unknown-key", cli.EXIT_CONFIG, "unknown config field(s): distractor"),
     ("synth-bad-value", cli.EXIT_CONFIG, "field 'frames': cannot parse 'abc'"),
     ("synth-two-colour-components", cli.EXIT_CONFIG, "color must have 3 components"),
+    ("synth-nan-noise", cli.EXIT_CONFIG, "field 'noise_sigma' must be finite"),
+    ("synth-infinite-motion", cli.EXIT_CONFIG, "field 'motion_sigma' must be finite"),
+    ("synth-nan-colour", cli.EXIT_CONFIG, "field 'color' must be finite"),
+    ("synth-zero-target", cli.EXIT_CONFIG, "field 'target_size' must be positive"),
+    ("train-nan-lr", cli.EXIT_CONFIG, "field 'lr' must be finite"),
+    ("train-infinite-shift", cli.EXIT_CONFIG, "field 'shift_aug' must be finite"),
+    ("eval-nan-lr", cli.EXIT_CONFIG, "field 'lr' must be finite"),
     ("ablation-three-arms", cli.EXIT_CONFIG, "exactly 4 arm configs"),
     ("synth-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-out-under-file", cli.EXIT_IO, "Not a directory"),

@@ -98,6 +98,10 @@ class TestGenSequence:
             gen_sequence(SequenceSpec(image_size=40, target_size=26.0))
         with pytest.raises(ValueError):
             gen_sequence(SequenceSpec(shape="hexagon"))
+        with pytest.raises(configio.ConfigError, match="'target_size' must be positive"):
+            gen_sequence(SequenceSpec(target_size=0.0))
+        with pytest.raises(configio.ConfigError, match="'noise_sigma' must be finite"):
+            gen_sequence(SequenceSpec(noise_sigma=float("nan")))
 
 
 class TestGeneratedFrames:
