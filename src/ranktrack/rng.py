@@ -15,14 +15,15 @@ The generator is counter-based: the k-th word after state s is
 Easy as 1, 2, 3", SC'11). ``normals`` uses that to compute a block of
 words with numpy. It returns exactly the values of the same number of
 ``normal`` calls and leaves the stream in exactly the same state, so
-block and scalar draws give one stream. The mean may differ per element:
-a block with a length-``count`` array ``mu`` gives the values of the
-calls ``normal(mu[0], sigma)``, ``normal(mu[1], sigma)``, ... in turn,
-so one call can draw what several scalar-mean blocks would. The uint64 words and the
-arithmetic around the transcendentals are IEEE-exact in numpy, but
-``np.log`` is not correctly rounded: it differs from ``math.log`` in
-the last bit on about 0.3% of uniform inputs (numpy 2.4, x86-64). So
-``math.log``, ``math.sin`` and ``math.cos`` stay per element.
+block and scalar draws give one stream. The mean may differ per
+element: a block with a length-``count`` array ``mu`` gives the values
+of the calls ``normal(mu[0], sigma)``, ``normal(mu[1], sigma)``, ... in
+turn, so one call draws what several scalar-mean blocks would. The
+uint64 words and the arithmetic around the transcendentals are
+IEEE-exact in numpy, but ``np.log`` is not correctly rounded: it
+differs from ``math.log`` in the last bit on about 0.3% of uniform
+inputs (numpy 2.4, x86-64). So ``math.log``, ``math.sin`` and
+``math.cos`` stay per element.
 """
 
 from __future__ import annotations
