@@ -93,8 +93,7 @@ class MetricReport:
 
     def aggregate(self) -> dict[str, float]:
         out = {}
-        for key in ("success_auc", "dp20", "rank_consistency",
-                    "distractor_margin", "kendall_tau"):
+        for key in _AGG_COLUMNS:
             vals = np.array([getattr(s, key) for s in self.per_sequence])
             # all-NaN (or empty) is NaN, without nanmean's "Mean of empty slice"
             out[key] = float("nan") if np.isnan(vals).all() else float(np.nanmean(vals))
@@ -118,16 +117,15 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         search, gt_s, tf = synthdata.crop_search(
             seq, t, cfg.template_size, cfg.search_size, search_center=(cx, cy))
         a_cls, a_loc = pipeline.forward(mp, template, search)
-        probs = nm.softmax(a_cls, axis=0).data[1]
+        probs = nm.softmax(a_cls).data[1]
 
         r, c = np.unravel_index(int(np.argmax(probs)), probs.shape)
         consistent.append(gt_s.contains(px[r, c], py[r, c]))
 
-        in_gt = (px >= gt_s.x1) & (px <= gt_s.x2) & (py >= gt_s.y1) & (py <= gt_s.y2)
+        in_gt = gt_s.contains(px, py)
         in_dist = np.zeros_like(in_gt)
         for db in seq.distractor_boxes[t]:
-            d = tf.to_crop(db)
-            in_dist |= (px >= d.x1) & (px <= d.x2) & (py >= d.y1) & (py <= d.y2)
+            in_dist |= tf.to_crop(db).contains(px, py)
         in_dist &= ~in_gt
         if in_gt.any() and in_dist.any():
             margins.append(float(probs[in_gt].max() - probs[in_dist].max()))

@@ -58,8 +58,10 @@ class Box:
     def center(self) -> tuple[float, float]:
         return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
-    def contains(self, px: float, py: float) -> bool:
-        return self.x1 <= px <= self.x2 and self.y1 <= py <= self.y2
+    def contains(self, px, py):
+        """Whether each point (px, py) lies in the box, edges included;
+        elementwise on scalars or arrays."""
+        return (px >= self.x1) & (px <= self.x2) & (py >= self.y1) & (py <= self.y2)
 
     def translated(self, dx: float, dy: float) -> "Box":
         return Box(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
@@ -176,13 +178,9 @@ def assign_labels(grid: HeadGrid, gt: Box, shrink: float = POSITIVE_SHRINK) -> L
     entirely yields zero positives; callers must handle that.
     """
     px, py = grid.pixel_xy()
-    inner = gt.scaled_about_center(shrink)
-    in_inner = (px >= inner.x1) & (px <= inner.x2) & (py >= inner.y1) & (py <= inner.y2)
-    in_full = (px >= gt.x1) & (px <= gt.x2) & (py >= gt.y1) & (py <= gt.y2)
-
     cls = np.full((grid.height, grid.width), NEGATIVE, dtype=np.int8)
-    cls[in_full] = IGNORE
-    cls[in_inner] = POSITIVE
+    cls[gt.contains(px, py)] = IGNORE
+    cls[gt.scaled_about_center(shrink).contains(px, py)] = POSITIVE
     return LabelMap(cls=cls)
 
 

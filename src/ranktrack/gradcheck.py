@@ -37,17 +37,12 @@ def _uniform_array(rng: SplitMix64, shape, lo=-1.0, hi=1.0) -> np.ndarray:
                        dtype=np.float64, count=n).reshape(shape)
 
 
-def _separated(rng: SplitMix64, n: int, lo: float, hi: float, gap: float,
-               avoid: float | None = None) -> np.ndarray:
-    """n values in (lo, hi) with pairwise gaps > ``gap``, away from ``avoid``."""
+def _separated(rng: SplitMix64, n: int, lo: float, hi: float, gap: float) -> np.ndarray:
+    """n values in (lo, hi) with pairwise gaps > ``gap``."""
     while True:
         vals = np.array([rng.uniform(lo, hi) for _ in range(n)])
-        s = np.sort(vals)
-        if n > 1 and np.min(np.diff(s)) <= gap:
-            continue
-        if avoid is not None and np.min(np.abs(vals - avoid)) <= gap:
-            continue
-        return vals
+        if n < 2 or np.min(np.diff(np.sort(vals))) > gap:
+            return vals
 
 
 def _weighted_scalar(t: Tensor, weights: np.ndarray) -> Tensor:
@@ -55,57 +50,25 @@ def _weighted_scalar(t: Tensor, weights: np.ndarray) -> Tensor:
     return nm.sum_(nm.mul(t, Tensor(weights)))
 
 
-def _max_over_points(fn, rng: SplitMix64, points: int = POINTS) -> float:
-    return max(fn(rng.spawn(661, k)) for k in range(points))
-
-
-# -- individual op checks ------------------------------------------------------
-
-def check_softmax(rng: SplitMix64) -> float:
+def _two_inputs(op, shape_a, shape_b, shape_out):
+    """Per-point check of a two-input op: the larger error of its gradient
+    in either input, with the other held fixed, under a random projection."""
     def one(r):
-        w = _uniform_array(r.spawn(1), (7,))
-        x = Tensor(_uniform_array(r.spawn(2), (7,), -2, 2))
-        return finite_diff_check(lambda t: _weighted_scalar(nm.softmax(t, axis=0), w), x)
-    return _max_over_points(one, rng)
+        a = _uniform_array(r.spawn(1), shape_a)
+        b = _uniform_array(r.spawn(2), shape_b)
+        w = _uniform_array(r.spawn(3), shape_out)
+        err_a = finite_diff_check(lambda t: _weighted_scalar(op(t, Tensor(b)), w), Tensor(a))
+        err_b = finite_diff_check(lambda t: _weighted_scalar(op(Tensor(a), t), w), Tensor(b))
+        return max(err_a, err_b)
+    return one
 
 
-def check_conv2d(rng: SplitMix64) -> float:
-    def one(r):
-        x = _uniform_array(r.spawn(1), (2, 6, 6))
-        k = _uniform_array(r.spawn(2), (3, 2, 3, 3))
-        w = _uniform_array(r.spawn(3), (3, 2, 2))
-        err_x = finite_diff_check(
-            lambda t: _weighted_scalar(nm.conv2d(t, Tensor(k), stride=2), w), Tensor(x))
-        err_k = finite_diff_check(
-            lambda t: _weighted_scalar(nm.conv2d(Tensor(x), t, stride=2), w), Tensor(k))
-        return max(err_x, err_k)
-    return _max_over_points(one, rng)
+# -- per-point op checks: each maps a point's generator to a relative error -----
 
-
-def check_dw_corr(rng: SplitMix64) -> float:
-    def one(r):
-        fz = _uniform_array(r.spawn(1), (3, 3, 3))
-        fx = _uniform_array(r.spawn(2), (3, 6, 6))
-        w = _uniform_array(r.spawn(3), (3, 4, 4))
-        err_z = finite_diff_check(
-            lambda t: _weighted_scalar(correlation.dw_corr(t, Tensor(fx)), w), Tensor(fz))
-        err_x = finite_diff_check(
-            lambda t: _weighted_scalar(correlation.dw_corr(Tensor(fz), t), w), Tensor(fx))
-        return max(err_z, err_x)
-    return _max_over_points(one, rng)
-
-
-def check_pw_corr(rng: SplitMix64) -> float:
-    def one(r):
-        fz = _uniform_array(r.spawn(1), (3, 2, 2))
-        fx = _uniform_array(r.spawn(2), (3, 3, 3))
-        w = _uniform_array(r.spawn(3), (6, 3, 3))
-        err_z = finite_diff_check(
-            lambda t: _weighted_scalar(correlation.pw_corr(t, Tensor(fx)), w), Tensor(fz))
-        err_x = finite_diff_check(
-            lambda t: _weighted_scalar(correlation.pw_corr(Tensor(fz), t), w), Tensor(fx))
-        return max(err_z, err_x)
-    return _max_over_points(one, rng)
+def _softmax(r: SplitMix64) -> float:
+    w = _uniform_array(r.spawn(1), (7,))
+    x = Tensor(_uniform_array(r.spawn(2), (7,), -2, 2))
+    return finite_diff_check(lambda t: _weighted_scalar(nm.softmax(t), w), x)
 
 
 def _random_labels(rng: SplitMix64, h: int, w: int) -> LabelMap:
@@ -117,44 +80,32 @@ def _random_labels(rng: SplitMix64, h: int, w: int) -> LabelMap:
     return LabelMap(cls=codes.reshape(h, w))
 
 
-def check_cross_entropy(rng: SplitMix64) -> float:
-    def one(r):
-        labels = _random_labels(r.spawn(1), 4, 4)
-        x = Tensor(_uniform_array(r.spawn(2), (2, 4, 4), -2, 2))
-        return finite_diff_check(lambda t: losses.cross_entropy(t, labels), x)
-    return _max_over_points(one, rng)
+def _cross_entropy(r: SplitMix64) -> float:
+    labels = _random_labels(r.spawn(1), 4, 4)
+    x = Tensor(_uniform_array(r.spawn(2), (2, 4, 4), -2, 2))
+    return finite_diff_check(lambda t: losses.cross_entropy(t, labels), x)
 
 
-def check_iou_loss(rng: SplitMix64) -> float:
+def _iou_loss(r: SplitMix64) -> float:
     gt = Box(20.0, 30.0, 60.0, 75.0)
-
-    def one(r):
-        # overlapping but not edge-tied prediction
-        base = np.array([20.0 + r.uniform(-8, 8), 30.0 + r.uniform(-8, 8),
-                         60.0 + r.uniform(-8, 8), 75.0 + r.uniform(-8, 8)])
-        return finite_diff_check(
-            lambda t: nm.sub(1.0, iou_tensor(t[0], t[1], t[2], t[3], gt)), Tensor(base))
-    return _max_over_points(one, rng)
+    # overlapping but not edge-tied prediction
+    base = np.array([20.0 + r.uniform(-8, 8), 30.0 + r.uniform(-8, 8),
+                     60.0 + r.uniform(-8, 8), 75.0 + r.uniform(-8, 8)])
+    return finite_diff_check(
+        lambda t: nm.sub(1.0, iou_tensor(t[0], t[1], t[2], t[3], gt)), Tensor(base))
 
 
-def check_expectations(rng: SplitMix64) -> float:
-    def one(r):
-        pos = Tensor(_separated(r.spawn(1), 5, 0.05, 0.95, 1e-3))
-        neg = Tensor(_separated(r.spawn(2), 4, 0.55, 0.95, 1e-3))
-        err_p = finite_diff_check(
-            lambda t: losses.expectations(t, Tensor(neg.data))[0], pos)
-        err_n = finite_diff_check(
-            lambda t: losses.expectations(Tensor(pos.data), t)[1], neg)
-        return max(err_p, err_n)
-    return _max_over_points(one, rng)
+def _expectations(r: SplitMix64) -> float:
+    pos = Tensor(_separated(r.spawn(1), 5, 0.05, 0.95, 1e-3))
+    neg = Tensor(_separated(r.spawn(2), 4, 0.55, 0.95, 1e-3))
+    err_p = finite_diff_check(lambda t: losses.expectations(t, Tensor(neg.data))[0], pos)
+    err_n = finite_diff_check(lambda t: losses.expectations(Tensor(pos.data), t)[1], neg)
+    return max(err_p, err_n)
 
 
-def check_rank_cls_loss(rng: SplitMix64) -> float:
-    def one(r):
-        x = Tensor(np.array([r.uniform(0, 1), r.uniform(0, 1)]))
-        return finite_diff_check(
-            lambda t: losses.rank_cls_loss(t[0], t[1], alpha=0.5, beta=4.0), x)
-    return _max_over_points(one, rng)
+def _rank_cls_loss(r: SplitMix64) -> float:
+    x = Tensor(np.array([r.uniform(0, 1), r.uniform(0, 1)]))
+    return finite_diff_check(lambda t: losses.rank_cls_loss(t[0], t[1], alpha=0.5, beta=4.0), x)
 
 
 def _rank_point(r: SplitMix64) -> tuple[int, Tensor]:
@@ -169,29 +120,22 @@ def _pos_batch(x: Tensor, n: int) -> losses.RankBatch:
     return losses.RankBatch(pos_scores=x[:n], neg_scores=Tensor(np.zeros(0)), pos_ious=x[n:])
 
 
-def check_rank_iou_loss(rng: SplitMix64) -> float:
-    def one(r):
-        n, x0 = _rank_point(r)
-        plan = losses.rank_plan(_pos_batch(x0, n))
-        return finite_diff_check(
-            lambda x: losses.rank_iou_loss(_pos_batch(x, n), 3.0, plan), x0, step=1e-6)
-    return _max_over_points(one, rng)
+def _rank_iou_loss(r: SplitMix64) -> float:
+    n, x0 = _rank_point(r)
+    plan = losses.rank_plan(_pos_batch(x0, n))
+    return finite_diff_check(
+        lambda x: losses.rank_iou_loss(_pos_batch(x, n), 3.0, plan), x0, step=1e-6)
 
 
-def check_rank_iou_loss_ori(rng: SplitMix64) -> float:
-    def one(r):
-        n, x0 = _rank_point(r)
-        return finite_diff_check(
-            lambda x: losses.rank_iou_loss_ori(_pos_batch(x, n), alpha=4.0), x0, step=1e-6)
-    return _max_over_points(one, rng)
+def _rank_iou_loss_ori(r: SplitMix64) -> float:
+    n, x0 = _rank_point(r)
+    return finite_diff_check(
+        lambda x: losses.rank_iou_loss_ori(_pos_batch(x, n), alpha=4.0), x0, step=1e-6)
 
 
-def check_combine(rng: SplitMix64) -> float:
-    def one(r):
-        x = Tensor(np.array([r.uniform(0, 2) for _ in range(4)]))
-        return finite_diff_check(
-            lambda t: losses.combine(t[0], t[1], t[2], t[3]).total, x)
-    return _max_over_points(one, rng)
+def _combine(r: SplitMix64) -> float:
+    x = Tensor(np.array([r.uniform(0, 2) for _ in range(4)]))
+    return finite_diff_check(lambda t: losses.combine(t[0], t[1], t[2], t[3]).total, x)
 
 
 # -- end-to-end -----------------------------------------------------------------
@@ -250,22 +194,25 @@ def end_to_end_error(rng: SplitMix64, n_weights: int = 20, step: float = 1e-5) -
 
 # -- suite -----------------------------------------------------------------------
 
+CHECKS = [
+    ("softmax", _softmax),
+    ("conv2d", _two_inputs(nm.conv2d, (2, 6, 6), (3, 2, 2, 2), (3, 3, 3))),
+    ("dw_corr", _two_inputs(correlation.dw_corr, (3, 3, 3), (3, 6, 6), (3, 4, 4))),
+    ("pw_corr", _two_inputs(correlation.pw_corr, (3, 2, 2), (3, 3, 3), (6, 3, 3))),
+    ("cross_entropy", _cross_entropy),
+    ("iou_loss", _iou_loss),
+    ("expectations", _expectations),
+    ("rank_cls_loss", _rank_cls_loss),
+    ("rank_iou_loss(frozen)", _rank_iou_loss),
+    ("rank_iou_loss_ori", _rank_iou_loss_ori),
+    ("combine", _combine),
+]
+
+
 def run_suite(rng: SplitMix64):
-    """(name, max relative error, tolerance) for the whole op inventory."""
-    checks = [
-        ("softmax", check_softmax, OP_TOL),
-        ("conv2d", check_conv2d, OP_TOL),
-        ("dw_corr", check_dw_corr, OP_TOL),
-        ("pw_corr", check_pw_corr, OP_TOL),
-        ("cross_entropy", check_cross_entropy, OP_TOL),
-        ("iou_loss", check_iou_loss, OP_TOL),
-        ("expectations", check_expectations, OP_TOL),
-        ("rank_cls_loss", check_rank_cls_loss, OP_TOL),
-        ("rank_iou_loss(frozen)", check_rank_iou_loss, OP_TOL),
-        ("rank_iou_loss_ori", check_rank_iou_loss_ori, OP_TOL),
-        ("combine", check_combine, OP_TOL),
-    ]
-    results = [(name, fn(rng.spawn(100 + k)), tol)
-               for k, (name, fn, tol) in enumerate(checks)]
+    """(name, max relative error, tolerance) for the whole op inventory:
+    each op check at ``POINTS`` random points, then the end-to-end check."""
+    results = [(name, max(one(rng.spawn(100 + k).spawn(661, p)) for p in range(POINTS)), OP_TOL)
+               for k, (name, one) in enumerate(CHECKS)]
     results.append(("end_to_end_total", end_to_end_error(rng.spawn(31337)), END_TO_END_TOL))
     return results

@@ -81,7 +81,7 @@ def _split_ce(a_cls: Tensor, labels: LabelMap) -> tuple[Tensor, Tensor, Tensor]:
     if n_pos == 0 and n_neg == 0:
         raise ValueError("cross_entropy with no labelled locations")
 
-    logp = nm.reshape(nm.log_softmax(a_cls, axis=0), (2, -1))
+    logp = nm.reshape(nm.log_softmax(a_cls), (2, -1))
     logp_bg, logp_fg = logp[0], logp[1]
 
     loss = Tensor(0.0)
@@ -94,7 +94,7 @@ def _split_ce(a_cls: Tensor, labels: LabelMap) -> tuple[Tensor, Tensor, Tensor]:
 
 def foreground_probs(a_cls: Tensor) -> Tensor:
     """Flattened per-location foreground probability map."""
-    probs = nm.softmax(a_cls, axis=0)
+    probs = nm.softmax(a_cls)
     h, w = a_cls.data.shape[1:]
     return nm.reshape(probs[1], (h * w,))
 
@@ -121,7 +121,7 @@ def expectations(pos_scores: Tensor, hard_negs: Tensor) -> tuple[Tensor, Tensor]
     if hard_negs.data.size == 0:
         raise ValueError("expectations requires a non-empty hard-negative set")
     p_plus = nm.mean(pos_scores)
-    weights = nm.softmax(hard_negs, axis=0)
+    weights = nm.softmax(hard_negs)
     p_minus = nm.sum_(nm.mul(weights, hard_negs))
     return p_plus, p_minus
 

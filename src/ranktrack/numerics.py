@@ -1,18 +1,19 @@
 """Float64 tensors with recorded reverse-mode differentiation.
 
 Every differentiable quantity in this library flows through the ops
-here. The arithmetic surface is deliberately small: add, sub, mul,
-valid conv2d, exp, softplus, sum/mean reductions, softmax and
-log-softmax. Shape plumbing (reshape, indexing) moves data without
-arithmetic. Everything else in the repo composes from these, apart from
-three nodes built on ``_from_op`` elsewhere: ``correlation.dw_corr``,
+here. The arithmetic surface is no bigger than the model needs: add,
+sub, mul, conv2d over tiling square windows, exp, softplus, whole-tensor
+sum and mean, and softmax and log-softmax over axis 0, the class axis.
+Shape plumbing (reshape, indexing) moves data without arithmetic.
+Everything else in the repo composes from these, apart from three nodes
+built on ``_from_op`` elsewhere: ``correlation.dw_corr``,
 ``correlation.pw_corr`` (the attention of template features over search
 features) and ``geometry.iou_tensor`` (box IoU with a closed-form
 gradient). ``matmul``, ``concat``, ``transpose`` and ``relu`` are not used
 by the model: they are the reference compositions that the tests hold
 the correlations and the fused conv layer to, bit for bit.
-``conv2d(x, k, stride, bias=b, relu=True)`` records a conv layer with its
-bias add and ReLU as one node with the bits of that composition, and
+``conv2d(x, k, bias=b, relu=True)`` records a conv layer with its bias
+add and ReLU as one node with the bits of that composition, and
 ``log_softmax`` is one node with the forward bits of its composition.
 
 All storage is float64. Every op validates that its output is finite
@@ -291,55 +292,38 @@ def _kernel_rows(a: np.ndarray, kw: int) -> np.ndarray:
     return a.view(np.dtype((np.void, a.itemsize * kw)))
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """C-contiguous (OH*OW, C*Kh*Kw) patch matrix of a CHW array: rows in
-    output raster order, columns in (channel, kernel row, kernel column)
-    order. When the windows tile the input (``stride == kh == kw``) it is
-    a reshape of the input."""
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """C-contiguous (OH*OW, C*K*K) patch matrix of a CHW array cut into
+    tiling KxK windows: rows in output raster order, columns in (channel,
+    kernel row, kernel column) order. It is a reshape of the input."""
     c, h, w = x.shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    if stride == kh == kw:
-        rows = _kernel_rows(np.ascontiguousarray(x)[:, :oh * kh, :ow * kw], kw)
-        cols = rows.reshape(c, oh, kh, ow).transpose(1, 3, 0, 2).reshape(oh * ow, c * kh)
-        return cols.view(np.float64)
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    win = win[:, ::stride, ::stride]                       # (C, OH, OW, Kh, Kw)
-    return win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c * kh * kw)
+    oh, ow = h // k, w // k
+    rows = _kernel_rows(np.ascontiguousarray(x)[:, :oh * k, :ow * k], k)
+    cols = rows.reshape(c, oh, k, ow).transpose(1, 3, 0, 2).reshape(oh * ow, c * k)
+    return cols.view(np.float64)
 
 
-def _col2im(gcols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int,
-            stride: int) -> np.ndarray:
+def _col2im(gcols: np.ndarray, shape: tuple[int, int, int], k: int) -> np.ndarray:
     """Adjoint of ``_im2col``: add every patch-matrix entry into a zero
-    array at the input position it was read from, kernel offset by kernel
-    offset. Tiling windows touch each position at most once, so one ``+=``
-    does it; it still adds to 0.0, which turns a -0.0 into +0.0 as the
-    loop does. Positions no window covers keep 0.0."""
+    array at the input position it was read from. Tiling windows touch each
+    position once, so one ``+=`` does it; adding to 0.0 turns a -0.0 into
+    +0.0. Rows and columns past the last whole window keep 0.0."""
     c, h, w = shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    oh, ow = h // k, w // k
+    rows = _kernel_rows(np.ascontiguousarray(gcols), k).reshape(oh, ow, c, k)
+    rows = rows.transpose(2, 0, 3, 1).reshape(c, oh * k, ow).view(np.float64)
     gx = np.zeros(shape)
-    if stride == kh == kw:
-        rows = _kernel_rows(np.ascontiguousarray(gcols), kw).reshape(oh, ow, c, kh)
-        rows = rows.transpose(2, 0, 3, 1).reshape(c, oh * kh, ow).view(np.float64)
-        gx[:, :oh * kh, :ow * kw] += rows
-        return gx
-    g5 = gcols.reshape(oh, ow, c, kh, kw).transpose(2, 0, 1, 3, 4)
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += g5[:, :, :, i, j]
+    gx[:, :oh * k, :ow * k] += rows
     return gx
 
 
-def conv2d(x, kernels, stride: int = 1, bias=None, relu: bool = False) -> Tensor:
-    """Valid (no padding) 2-D convolution of a CHW input with OCKK kernels,
-    optionally followed by a broadcast ``bias`` add and a ReLU, recorded as
-    one node.
-
-    The im2col layout is fixed for bit-identity (see ``_im2col``), so the
-    forward matmul and the kernel gradient always see the same operands,
-    whichever path built them. Non-overlapping windows (``stride == kh ==
-    kw``: every backbone conv and every 1x1 head conv) take a reshape
-    im2col and a one-shot col2im; overlapping ones a sliding-window view
-    and a loop over kernel offsets.
+def conv2d(x, kernels, bias=None, relu: bool = False) -> Tensor:
+    """2-D convolution of a CHW input with OCKK square kernels whose windows
+    tile the input (the stride is the kernel size, no padding; rows and
+    columns past the last whole window are not read), optionally followed
+    by a broadcast ``bias`` add and a ReLU, recorded as one node. The
+    forward matmul and the kernel gradient read one patch matrix, a
+    reshape of the input (``_im2col``).
 
     The fused layer gives the same bits as ``relu(add(conv2d(x, k), b))``:
     the bias is added in place on the matmul result and the finiteness
@@ -352,20 +336,19 @@ def conv2d(x, kernels, stride: int = 1, bias=None, relu: bool = False) -> Tensor
     if x.data.ndim != 3:
         raise ValueError("conv2d input must be C x H x W")
     if kernels.data.ndim != 4:
-        raise ValueError("conv2d kernels must be O x C x Kh x Kw")
+        raise ValueError("conv2d kernels must be O x C x K x K")
     c, h, w = x.data.shape
-    o, ck, kh, kw = kernels.data.shape
+    o, ck, k, kw = kernels.data.shape
     if ck != c:
         raise ValueError(f"conv2d channel mismatch: input {c}, kernels {ck}")
-    if kh > h or kw > w:
+    if kw != k:
+        raise ValueError(f"conv2d kernels must be square, got {k}x{kw}")
+    if k > h or k > w:
         raise ValueError("conv2d kernel larger than input")
-    if stride < 1:
-        raise ValueError("conv2d stride must be >= 1")
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
+    oh, ow = h // k, w // k
 
-    cols = _im2col(x.data, kh, kw, stride)
-    wmat = kernels.data.reshape(o, c * kh * kw)
+    cols = _im2col(x.data, k)
+    wmat = kernels.data.reshape(o, c * k * k)
     out = (wmat @ cols.T).reshape(o, oh, ow)
     parents, bias_shape = (x, kernels), None
     if bias is not None:
@@ -382,8 +365,8 @@ def conv2d(x, kernels, stride: int = 1, bias=None, relu: bool = False) -> Tensor
         if mask is not None:
             g = g * mask
         gm = g.reshape(o, oh * ow)
-        gk = (gm @ cols).reshape(o, c, kh, kw) if need_k else None
-        gx = _col2im(gm.T @ wmat, (c, h, w), kh, kw, stride) if need_x else None
+        gk = (gm @ cols).reshape(o, c, k, k) if need_k else None
+        gx = _col2im(gm.T @ wmat, (c, h, w), k) if need_x else None
         if bias_shape is None:
             return gx, gk
         return gx, gk, _unbroadcast(g, bias_shape) if need_b else None
@@ -398,21 +381,16 @@ def conv2d(x, kernels, stride: int = 1, bias=None, relu: bool = False) -> Tensor
 
 # -- shape plumbing -----------------------------------------------------------
 
-def concat(tensors: Sequence, axis: int = 0) -> Tensor:
+def concat(tensors: Sequence) -> Tensor:
+    """Join tensors along axis 0, the channel axis."""
     parts = [_as_tensor(t) for t in tensors]
     if not parts:
         raise ValueError("concat of no tensors")
-    sizes = [p.data.shape[axis] for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
+    ends = np.cumsum([p.data.shape[0] for p in parts])
+    out = np.concatenate([p.data for p in parts])
 
     def bw(g):
-        grads, start = [], 0
-        for s in sizes:
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, start + s)
-            grads.append(g[tuple(sl)])
-            start += s
-        return tuple(grads)
+        return tuple(np.split(g, ends[:-1]))
 
     return _from_op(out, parts, bw, "concat")
 
@@ -427,13 +405,14 @@ def reshape(a, shape) -> Tensor:
     return _from_op(a.data.reshape(shape), (a,), bw, "reshape")
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a) -> Tensor:
+    """Reverse the axes, as ``a.T``."""
     a = _as_tensor(a)
 
     def bw(g):
-        return (np.transpose(g) if axes is None else np.transpose(g, np.argsort(axes)),)
+        return (g.T,)
 
-    return _from_op(np.transpose(a.data, axes), (a,), bw, "transpose")
+    return _from_op(a.data.T, (a,), bw, "transpose")
 
 
 def getitem(a, idx) -> Tensor:
@@ -450,65 +429,57 @@ def getitem(a, idx) -> Tensor:
 
 # -- reductions ---------------------------------------------------------------
 
-def _restore_dims(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape) if keepdims else np.full(shape, g)
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def sum_(a, axis=None, keepdims=False) -> Tensor:
+def sum_(a) -> Tensor:
     a = _as_tensor(a)
     shape = a.data.shape
 
     def bw(g):
-        return (np.ascontiguousarray(_restore_dims(g, shape, axis, keepdims)),)
+        return (np.full(shape, g),)
 
-    return _from_op(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), bw, "sum")
+    return _from_op(np.sum(a.data), (a,), bw, "sum")
 
 
-def mean(a, axis=None, keepdims=False) -> Tensor:
+def mean(a) -> Tensor:
     a = _as_tensor(a)
-    shape = a.data.shape
-    n = a.data.size if axis is None else shape[axis]
+    shape, n = a.data.shape, a.data.size
 
     def bw(g):
-        return (np.ascontiguousarray(_restore_dims(g, shape, axis, keepdims)) / n,)
+        return (np.full(shape, g) / n,)
 
-    return _from_op(np.mean(a.data, axis=axis, keepdims=keepdims), (a,), bw, "mean")
+    return _from_op(np.mean(a.data), (a,), bw, "mean")
 
 
 # -- softmax ------------------------------------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis`` (max is subtracted before exp)."""
+def softmax(a) -> Tensor:
+    """Stable softmax over axis 0, the class axis."""
     a = _as_tensor(a)
     if a.data.size == 0:
         raise ValueError("softmax of an empty tensor")
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
+    shifted = a.data - np.max(a.data, axis=0, keepdims=True)
     e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = e / np.sum(e, axis=0, keepdims=True)
 
     def bw(g):
-        dot = np.sum(g * out, axis=axis, keepdims=True)
+        dot = np.sum(g * out, axis=0, keepdims=True)
         return (out * (g - dot),)
 
     return _from_op(out, (a,), bw, "softmax")
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Stable log-softmax along ``axis``: a - max - log(sum(exp(a - max))).
+def log_softmax(a) -> Tensor:
+    """Stable log-softmax over axis 0, the class axis:
+    a - max - log(sum(exp(a - max))).
 
     The gradient is g - softmax * sum(g), with the softmax read back as
     exp of the output.
     """
     a = _as_tensor(a)
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    out = shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
+    shifted = a.data - np.max(a.data, axis=0, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=0, keepdims=True))
 
     def bw(g):
-        return (g - np.exp(out) * np.sum(g, axis=axis, keepdims=True),)
+        return (g - np.exp(out) * np.sum(g, axis=0, keepdims=True),)
 
     return _from_op(out, (a,), bw, "log_softmax")
 

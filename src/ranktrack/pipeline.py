@@ -29,7 +29,6 @@ from .rng import SplitMix64
 
 BACKBONE_CHANNELS = (16, 32, 32)
 BACKBONE_KERNEL = 2
-BACKBONE_STRIDE = 2
 HEAD_HIDDEN = 16
 TOTAL_STRIDE = 8
 
@@ -104,13 +103,11 @@ class TrainConfig:
             raise ConfigError("rank_iou and rank_iou_ori are mutually exclusive")
         positive = ["template_size", "search_size", "in_channels", "beta", "gamma",
                     "ori_alpha", "lr", "batch_size", "iterations", "train_sequences",
-                    "frames_per_sequence", "image_size", "target_size",
-                    "eval_sequences", "eval_frames"]
+                    "frames_per_sequence", "image_size", "eval_sequences", "eval_frames"]
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"field {name!r} must be positive")
-        nonneg = ["alpha", "tau_neg", "momentum", "rank_warmup", "shift_aug",
-                  "distractors", "clutter", "motion_sigma", "eval_jitter"]
+        nonneg = ["alpha", "tau_neg", "momentum", "rank_warmup", "shift_aug", "eval_jitter"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"field {name!r} must be non-negative")
@@ -118,15 +115,32 @@ class TrainConfig:
             raise ConfigError("template_size must be smaller than search_size")
         if feature_extent(self.template_size) < 1:
             raise ConfigError("template_size too small for the backbone")
+        # the scene fields are checked where the pools use them
+        _sequence_spec(self, 0, 0, 1).validate()
 
     def to_kv(self) -> dict[str, str]:
         return configio.to_kv(self)
 
 
+def _sequence_spec(cfg: TrainConfig, seed: int, i: int, frames: int) -> synthdata.SequenceSpec:
+    """The i-th sequence of a pool: the config's scene, shape families in turn."""
+    return synthdata.SequenceSpec(
+        seed=seed,
+        frames=frames,
+        image_size=cfg.image_size,
+        shape=synthdata.SHAPE_FAMILIES[i % len(synthdata.SHAPE_FAMILIES)],
+        target_size=cfg.target_size,
+        distractors=cfg.distractors,
+        similarity=cfg.similarity,
+        clutter=cfg.clutter,
+        motion_sigma=cfg.motion_sigma,
+    )
+
+
 def feature_extent(n: int) -> int:
-    """Spatial extent after the backbone (three 2x2/stride-2 valid convs)."""
+    """Spatial extent after the backbone's three 2x2 convs, each tiling its input."""
     for _ in BACKBONE_CHANNELS:
-        n = (n - BACKBONE_KERNEL) // BACKBONE_STRIDE + 1
+        n //= BACKBONE_KERNEL
     return n
 
 
@@ -190,8 +204,7 @@ def _backbone(mp: ModelParams, raster: np.ndarray) -> Tensor:
     # swamped by the DC component
     x = Tensor(raster - 0.5)
     for i in range(1, len(BACKBONE_CHANNELS) + 1):
-        x = nm.conv2d(x, mp.params[f"bb{i}_w"], stride=BACKBONE_STRIDE,
-                      bias=mp.params[f"bb{i}_b"], relu=True)
+        x = nm.conv2d(x, mp.params[f"bb{i}_w"], bias=mp.params[f"bb{i}_b"], relu=True)
     return x
 
 
@@ -322,17 +335,9 @@ class TrainResult:
 def _pool(cfg: TrainConfig, seed: int, domain: int, count: int,
           frames: int) -> list[synthdata.Sequence]:
     master = SplitMix64(seed)
-    return [synthdata.gen_sequence(synthdata.SequenceSpec(
-        seed=master.spawn(domain, i).next_u64(),
-        frames=frames,
-        image_size=cfg.image_size,
-        shape=synthdata.SHAPE_FAMILIES[i % len(synthdata.SHAPE_FAMILIES)],
-        target_size=cfg.target_size,
-        distractors=cfg.distractors,
-        similarity=cfg.similarity,
-        clutter=cfg.clutter,
-        motion_sigma=cfg.motion_sigma,
-    )) for i in range(count)]
+    return [synthdata.gen_sequence(
+        _sequence_spec(cfg, master.spawn(domain, i).next_u64(), i, frames))
+        for i in range(count)]
 
 
 def training_pool(cfg: TrainConfig) -> list[synthdata.Sequence]:
@@ -571,7 +576,7 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
     search = synthdata.crop_window(frame, tf.cx, tf.cy, tf.side, cfg.search_size)
 
     a_cls, a_loc = forward(mp, template, search)
-    probs = nm.softmax(a_cls, axis=0).data[1]
+    probs = nm.softmax(a_cls).data[1]
     score = probs if window_influence <= 0 else \
         (1.0 - window_influence) * probs + window_influence * hann2d(grid.height)
     r, c = (int(i) for i in np.unravel_index(int(np.argmax(score)), score.shape))

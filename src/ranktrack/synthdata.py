@@ -65,21 +65,21 @@ class SequenceSpec:
     def validate(self) -> None:
         configio.check_finite(self)
         if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+            raise configio.ConfigError("field 'frames' must be positive")
         if self.shape not in SHAPE_FAMILIES:
-            raise ValueError(f"unknown shape family: {self.shape}")
+            raise configio.ConfigError(f"field 'shape': unknown shape family {self.shape!r}")
         if not (0.0 <= self.similarity <= 1.0):
-            raise ValueError("similarity must lie in [0, 1]")
+            raise configio.ConfigError("field 'similarity' must lie in [0, 1]")
         if self.target_size <= 0:
             raise configio.ConfigError("field 'target_size' must be positive")
         if self.target_size >= self.image_size / 2:
-            raise ValueError("image too small for the configured target size")
-        if self.distractors < 0 or self.clutter < 0:
-            raise ValueError("object counts must be >= 0")
-        if self.motion_sigma < 0 or self.noise_sigma < 0:
-            raise ValueError("sigmas must be >= 0")
+            raise configio.ConfigError("field 'target_size' must be less than half of "
+                                       f"image_size ({self.image_size})")
+        for name in ("distractors", "clutter", "motion_sigma", "noise_sigma"):
+            if getattr(self, name) < 0:
+                raise configio.ConfigError(f"field {name!r} must be non-negative")
         if self.color is not None and len(self.color) != 3:
-            raise ValueError("color must have 3 components")
+            raise configio.ConfigError("color must have 3 components")
 
 
 class PaintedFrames(abc.Sequence):

@@ -228,6 +228,8 @@ CASE_TEXTS = {
     "zero-target": "target_size = 0\n",
     "nan-lr": TINY_CONFIG + "lr = nan\n",
     "infinite-shift": TINY_CONFIG + "shift_aug = -inf\n",
+    "similarity-above-one": TINY_CONFIG + "similarity = 1.5\n",
+    "target-too-large": TINY_CONFIG + "target_size = 90\n",
 }
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
@@ -242,6 +244,9 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("train-nan-lr", cli.EXIT_CONFIG, "field 'lr' must be finite"),
     ("train-infinite-shift", cli.EXIT_CONFIG, "field 'shift_aug' must be finite"),
     ("eval-nan-lr", cli.EXIT_CONFIG, "field 'lr' must be finite"),
+    ("train-similarity-above-one", cli.EXIT_CONFIG, "field 'similarity' must lie in [0, 1]"),
+    ("train-target-too-large", cli.EXIT_CONFIG, "field 'target_size' must be less than half"),
+    ("eval-similarity-above-one", cli.EXIT_CONFIG, "field 'similarity' must lie in [0, 1]"),
     ("ablation-three-arms", cli.EXIT_CONFIG, "exactly 4 arm configs"),
     ("synth-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-out-under-file", cli.EXIT_IO, "Not a directory"),

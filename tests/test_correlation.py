@@ -7,6 +7,8 @@ from ranktrack import numerics as nm
 from ranktrack.correlation import _attention_weights, dw_corr, pw_corr
 from ranktrack.numerics import Tensor, finite_diff_check
 
+from test_numerics import reference_conv2d
+
 
 def attention_weights(fz, fx):
     """``_attention_weights`` of CHW feature arrays."""
@@ -57,19 +59,17 @@ class TestDwCorr:
         fz = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         fx = Tensor(rng.normal(size=(4, 7, 7)), requires_grad=True)
         out = dw_corr(fz, fx)
-        ref = nm.concat([
-            nm.conv2d(fx[c:c + 1], nm.reshape(fz[c:c + 1], (1, 1, 3, 3)))
-            for c in range(4)
-        ], axis=0)
-        np.testing.assert_allclose(out.data, ref.data, atol=1e-13)
+        per_channel = [reference_conv2d(fx.data[c:c + 1], fz.data[c].reshape(1, 1, 3, 3), 1)
+                       for c in range(4)]
+        ref = np.concatenate([conv for conv, _ in per_channel])
+        np.testing.assert_allclose(out.data, ref, atol=1e-13)
 
         w = rng.normal(size=out.data.shape)
         nm.backward(nm.sum_(nm.mul(out, Tensor(w))))
-        gz1, gx1 = fz.grad.copy(), fx.grad.copy()
-        fz.zero_grad(), fx.zero_grad()
-        nm.backward(nm.sum_(nm.mul(ref, Tensor(w))))
-        np.testing.assert_allclose(gz1, fz.grad, atol=1e-12)
-        np.testing.assert_allclose(gx1, fx.grad, atol=1e-12)
+        ref_grads = [grads(w[c:c + 1]) for c, (_, grads) in enumerate(per_channel)]
+        ref_gz = np.concatenate([gk.reshape(1, 3, 3) for _, gk in ref_grads])
+        np.testing.assert_allclose(fz.grad, ref_gz, atol=1e-12)
+        np.testing.assert_allclose(fx.grad, np.concatenate([gx for gx, _ in ref_grads]), atol=1e-12)
 
     def test_constant_side_gets_no_gradient(self):
         rng = np.random.default_rng(6)
@@ -161,9 +161,9 @@ def composed_pw_corr(fz, fx):
     _, hx, wx = fx.data.shape
     z = nm.transpose(nm.reshape(fz, (c, hz * wz)))
     x = nm.reshape(fx, (c, hx * wx))
-    w = nm.softmax(nm.mul(nm.matmul(z, x), 1.0 / math.sqrt(c)), axis=0)
+    w = nm.softmax(nm.mul(nm.matmul(z, x), 1.0 / math.sqrt(c)))
     aggregated = nm.reshape(nm.matmul(nm.transpose(z), w), (c, hx, wx))
-    return nm.concat([fx, aggregated], axis=0)
+    return nm.concat([fx, aggregated])
 
 
 def grads_into(op, fz, fx, g, need_z=True, need_x=True):

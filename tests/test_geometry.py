@@ -72,6 +72,14 @@ class TestBox:
         b = Box(-5, -5, 300, 40).clipped(100, 50)
         assert (b.x1, b.y1, b.x2, b.y2) == (0, 0, 100, 40)
 
+    def test_contains_includes_edges_elementwise(self):
+        b = Box(10.0, 20.0, 30.0, 40.0)
+        px = np.array([10.0, 30.0, 20.0, 20.0, np.nextafter(10.0, 0), np.nextafter(30.0, 99), 20.0])
+        py = np.array([30.0, 30.0, 20.0, 40.0, 30.0, 30.0, np.nextafter(40.0, 99)])
+        want = [True, True, True, True, False, False, False]
+        assert b.contains(px, py).tolist() == want
+        assert [bool(b.contains(x, y)) for x, y in zip(px.tolist(), py.tolist())] == want
+
 
 class TestAssignLabels:
     def grid(self):

@@ -15,7 +15,7 @@ from conftest import quick_config
 
 SUITE_GOLDENS = {
     "softmax": "1.1393932959673087e-07",
-    "conv2d": "1.5497783394676747e-08",
+    "conv2d": "3.728629331135403e-09",
     "dw_corr": "3.101773514664717e-07",
     "pw_corr": "1.19793818642283e-09",
     "cross_entropy": "1.704101900056832e-09",

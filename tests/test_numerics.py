@@ -11,24 +11,24 @@ from ranktrack.numerics import NonFiniteError, Tensor, backward, finite_diff_che
 
 class TestSoftmax:
     def test_symmetry_two_zeros(self):
-        out = nm.softmax(Tensor([0.0, 0.0]), axis=0)
+        out = nm.softmax(Tensor([0.0, 0.0]))
         np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
 
     def test_known_values(self):
         # frozen from direct exp/sum evaluation of [1, 2, 3]
-        out = nm.softmax(Tensor([1.0, 2.0, 3.0]), axis=0)
+        out = nm.softmax(Tensor([1.0, 2.0, 3.0]))
         expected = [0.09003057317038046, 0.24472847105479767, 0.6652409557748219]
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("x", [-3.0, 0.0, 7.5, 1e8])
     def test_single_element(self, x):
-        assert nm.softmax(Tensor([x]), axis=0).item() == 1.0
+        assert nm.softmax(Tensor([x])).item() == 1.0
 
     def test_output_sums_to_one_and_positive(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             v = rng.normal(0, 5, size=rng.integers(1, 12))
-            out = nm.softmax(Tensor(v), axis=0)
+            out = nm.softmax(Tensor(v))
             assert abs(out.data.sum() - 1.0) < 1e-12
             assert np.all(out.data > 0)
 
@@ -36,13 +36,13 @@ class TestSoftmax:
            st.floats(-30, 30))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance(self, values, shift):
-        a = nm.softmax(Tensor(values), axis=0)
-        b = nm.softmax(Tensor([v + shift for v in values]), axis=0)
+        a = nm.softmax(Tensor(values))
+        b = nm.softmax(Tensor([v + shift for v in values]))
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            nm.softmax(Tensor(np.zeros(0)), axis=0)
+            nm.softmax(Tensor(np.zeros(0)))
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteError):
@@ -62,12 +62,29 @@ class TestConv2d:
         assert nm.conv2d(x, k).item() == 10.0
 
     def test_output_shape(self):
+        # 8 rows and columns hold two whole 3x3 windows; the last two are left over
         out = nm.conv2d(Tensor(np.zeros((1, 8, 8))), Tensor(np.zeros((5, 1, 3, 3))))
-        assert out.data.shape == (5, 6, 6)
+        assert out.data.shape == (5, 2, 2)
 
     def test_stride(self):
-        out = nm.conv2d(Tensor(np.zeros((2, 7, 9))), Tensor(np.zeros((3, 2, 3, 3))), stride=2)
-        assert out.data.shape == (3, 3, 4)
+        # the windows tile the input: the stride is the kernel size, and rows
+        # and columns past the last whole window neither feed the output nor
+        # receive a gradient
+        x = Tensor(np.arange(2 * 7 * 10.0).reshape(2, 7, 10), requires_grad=True)
+        out = nm.conv2d(x, Tensor(np.ones((3, 2, 3, 3))))
+        assert out.data.shape == (3, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                window = x.data[:, 3 * i:3 * i + 3, 3 * j:3 * j + 3]
+                assert out.data[0, i, j] == window.sum()
+        backward(nm.sum_(out))
+        np.testing.assert_array_equal(x.grad[:, :6, :9], 3.0)
+        np.testing.assert_array_equal(x.grad[:, 6:, :], 0.0)
+        np.testing.assert_array_equal(x.grad[:, :, 9:], 0.0)
+
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            nm.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 2, 1))))
 
     def test_channel_mismatch(self):
         with pytest.raises(ValueError):
@@ -79,9 +96,9 @@ class TestConv2d:
 
 
 def reference_conv2d(x, k, stride):
-    """``conv2d`` forward and its input/kernel gradients as written before the
-    tiled fast path: im2col through ``sliding_window_view`` and a col2im
-    loop over kernel offsets."""
+    """A valid conv at any stride, forward and input/kernel gradients:
+    im2col through ``sliding_window_view`` and a col2im loop over kernel
+    offsets. At ``stride`` equal to the kernel size it is ``conv2d``."""
     c, h, w = x.shape
     o, _, kh, kw = k.shape
     oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
@@ -111,8 +128,9 @@ def reference_col2im(gcols, shape, kh, kw, stride):
 
 
 class TestConv2dTiledBits:
-    """With stride == kh == kw, conv2d takes a reshape im2col and a one-shot
-    col2im; forward and both gradients equal the reference byte for byte."""
+    """conv2d's reshape im2col and one-shot col2im give the bytes of the
+    sliding-window reference at stride equal to the kernel size, forward
+    and both gradients."""
 
     @pytest.mark.parametrize("c,h,w,o,k", [
         (3, 128, 128, 16, 2), (3, 127, 127, 16, 2), (16, 63, 64, 32, 2),
@@ -127,7 +145,7 @@ class TestConv2dTiledBits:
         g = rng.standard_normal((o, oh, ow))
         g[:, ::3] = -0.0          # negative zeros, whole rows of them
         g[0] = 0.0
-        out = nm.conv2d(Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True), stride=k)
+        out = nm.conv2d(Tensor(x, requires_grad=True), Tensor(kern, requires_grad=True))
         want_out, grads = reference_conv2d(x, kern, k)
         assert out.data.tobytes() == want_out.tobytes()
         gx, gk = out._backward_fn(g)
@@ -144,49 +162,49 @@ class TestConv2dTiledBits:
         oh, ow = (h - k) // k + 1, (w - k) // k + 1
         gcols = np.random.default_rng(c + h).standard_normal((oh * ow, c * k * k))
         gcols[::2] = -0.0
-        got = nm._col2im(gcols, (c, h, w), k, k, k)
+        got = nm._col2im(gcols, (c, h, w), k)
         assert got[got == 0].size and not np.signbit(got[got == 0]).any()
         assert got.tobytes() == reference_col2im(gcols, (c, h, w), k, k, k).tobytes()
 
     def test_non_contiguous_input(self):
         x = np.random.default_rng(1).standard_normal((9, 8, 3)).transpose(2, 0, 1)
         kern = np.random.default_rng(2).standard_normal((4, 3, 2, 2))
-        out = nm.conv2d(Tensor(x), Tensor(kern), stride=2)
+        out = nm.conv2d(Tensor(x), Tensor(kern))
         assert out.data.tobytes() == reference_conv2d(x, kern, 2)[0].tobytes()
 
     def test_only_required_gradients_are_computed(self):
         x = np.random.default_rng(3).standard_normal((3, 8, 8))
         kern = np.random.default_rng(4).standard_normal((4, 3, 2, 2))
         g = np.ones((4, 4, 4))
-        raster_in = nm.conv2d(Tensor(x), Tensor(kern, requires_grad=True), stride=2)
+        raster_in = nm.conv2d(Tensor(x), Tensor(kern, requires_grad=True))
         gx, gk = raster_in._backward_fn(g)
         assert gx is None and gk.tobytes() == reference_conv2d(x, kern, 2)[1](g)[1].tobytes()
-        fixed_kernel = nm.conv2d(Tensor(x, requires_grad=True), Tensor(kern), stride=2)
+        fixed_kernel = nm.conv2d(Tensor(x, requires_grad=True), Tensor(kern))
         gx, gk = fixed_kernel._backward_fn(g)
         assert gk is None and gx.tobytes() == reference_conv2d(x, kern, 2)[1](g)[0].tobytes()
 
 
-def composed_layer(x, k, b, stride, relu):
+def composed_layer(x, k, b, relu):
     """A conv layer as it was composed before the fused op: conv2d, add,
     relu, three recorded nodes."""
-    out = nm.add(nm.conv2d(x, k, stride=stride), b)
+    out = nm.add(nm.conv2d(x, k), b)
     return nm.relu(out) if relu else out
 
 
-def layer_grads(layer, x, k, b, stride, relu, g, need_x=True):
+def layer_grads(layer, x, k, b, relu, g, need_x=True):
     """Output of ``layer`` and the exact gradients that reach x, k and b for
     an output gradient ``g``: the leaves start from ``grad`` None, so
     backward stores the incoming flow as is (a -0.0 stays -0.0)."""
     tx = Tensor(x, requires_grad=need_x)
     tk, tb = Tensor(k, requires_grad=True), Tensor(b, requires_grad=True)
     tx.grad = tk.grad = tb.grad = None
-    out = layer(tx, tk, tb, stride, relu)
+    out = layer(tx, tk, tb, relu)
     backward(nm.sum_(nm.mul(out, Tensor(g))))
     return out.data, tx.grad, tk.grad, tb.grad
 
 
-def fused_layer(x, k, b, stride, relu):
-    return nm.conv2d(x, k, stride=stride, bias=b, relu=relu)
+def fused_layer(x, k, b, relu):
+    return nm.conv2d(x, k, bias=b, relu=relu)
 
 
 class TestConv2dFusedLayer:
@@ -207,8 +225,8 @@ class TestConv2dFusedLayer:
         g = rng.standard_normal((o, oh, ow))
         g[:, ::3] = -0.0
         g[0] = 0.0
-        got = layer_grads(fused_layer, x, kern, bias, k, relu, g)
-        want = layer_grads(composed_layer, x, kern, bias, k, relu, g)
+        got = layer_grads(fused_layer, x, kern, bias, relu, g)
+        want = layer_grads(composed_layer, x, kern, bias, relu, g)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
@@ -216,8 +234,8 @@ class TestConv2dFusedLayer:
         rng = np.random.default_rng(11)
         x, kern = rng.standard_normal((3, 127, 127)), rng.standard_normal((16, 3, 2, 2))
         bias, g = rng.standard_normal((16, 1, 1)), rng.standard_normal((16, 63, 63))
-        got = layer_grads(fused_layer, x, kern, bias, 2, True, g, need_x=False)
-        want = layer_grads(composed_layer, x, kern, bias, 2, True, g, need_x=False)
+        got = layer_grads(fused_layer, x, kern, bias, True, g, need_x=False)
+        want = layer_grads(composed_layer, x, kern, bias, True, g, need_x=False)
         assert got[1] is None and want[1] is None
         for a, b in zip(got[::2] + got[3:], want[::2] + want[3:]):
             assert a.tobytes() == b.tobytes()
@@ -226,8 +244,7 @@ class TestConv2dFusedLayer:
         rng = np.random.default_rng(12)
         kern = Tensor(rng.standard_normal((4, 3, 2, 2)), requires_grad=True)
         bias = Tensor(rng.standard_normal((4, 1, 1)), requires_grad=True)
-        out = nm.conv2d(Tensor(rng.standard_normal((3, 8, 8))), kern, stride=2,
-                        bias=bias, relu=True)
+        out = nm.conv2d(Tensor(rng.standard_normal((3, 8, 8))), kern, bias=bias, relu=True)
         assert out._op == "conv2d" and out._parents == (None, kern, bias)
         kept = [cell.cell_contents for cell in out._backward_fn.__closure__]
         assert not any(isinstance(v, Tensor) for v in kept)
@@ -245,7 +262,7 @@ class TestConv2dFusedLayer:
         w = rng_points.normal(size=(4, 3, 3))
 
         def loss(x, k, b):
-            return nm.sum_(nm.mul(nm.conv2d(x, k, stride=2, bias=b, relu=True), Tensor(w)))
+            return nm.sum_(nm.mul(nm.conv2d(x, k, bias=b, relu=True), Tensor(w)))
 
         assert finite_diff_check(lambda b: loss(Tensor(x0), Tensor(k0), b), Tensor(b0)) < 1e-4
         assert finite_diff_check(lambda x: loss(x, Tensor(k0), Tensor(b0)), Tensor(x0)) < 1e-4
@@ -282,7 +299,7 @@ class TestBackward:
 
     def test_softmax_sum_is_constant(self):
         x = Tensor([0.3, -1.2, 2.0], requires_grad=True)
-        backward(nm.sum_(nm.softmax(x, axis=0)))
+        backward(nm.sum_(nm.softmax(x)))
         np.testing.assert_allclose(x.grad, 0.0, atol=1e-14)
 
     def test_diamond_graph_counts_once(self):
@@ -397,28 +414,29 @@ class TestBackward:
 
 
 class TestLogSoftmax:
-    @pytest.mark.parametrize("shape,axis", [((2, 9, 9), 0), ((2, 16, 16), 0), ((7,), 0),
-                                            ((3, 5), -1), ((4, 3, 2), 1)])
+    # ``axis`` is the axis the reference composition reduces over: the
+    # class axis, 0, in every case
+    @pytest.mark.parametrize("shape,axis", [((2, 9, 9), 0), ((2, 16, 16), 0), ((7,), 0)])
     def test_forward_bytes_equal_the_composition(self, shape, axis):
         a = np.random.default_rng(len(shape) * 10 + axis).normal(0, 8, shape)
         a.reshape(-1)[::5] = 0.0
         shifted = a - np.max(a, axis=axis, keepdims=True)
         want = shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-        assert nm.log_softmax(Tensor(a), axis=axis).data.tobytes() == want.tobytes()
+        assert nm.log_softmax(Tensor(a)).data.tobytes() == want.tobytes()
 
     def test_one_node_whose_gradient_is_g_minus_softmax_times_sum_g(self):
         rng = np.random.default_rng(4)
         a = Tensor(rng.normal(0, 3, (2, 4, 5)), requires_grad=True)
-        out = nm.log_softmax(a, axis=0)
+        out = nm.log_softmax(a)
         assert out._op == "log_softmax" and out._parents == (a,)
         g = rng.normal(size=(2, 4, 5))
-        p = nm.softmax(Tensor(a.data), axis=0).data
+        p = nm.softmax(Tensor(a.data)).data
         np.testing.assert_allclose(out._backward_fn(g)[0], g - p * g.sum(axis=0), rtol=1e-14,
                                    atol=1e-15)
 
     def test_finite_differences(self, rng_points):
         w = Tensor(rng_points.normal(size=(2, 3, 3)))
-        err = finite_diff_check(lambda t: nm.sum_(nm.mul(nm.log_softmax(t, axis=0), w)),
+        err = finite_diff_check(lambda t: nm.sum_(nm.mul(nm.log_softmax(t), w)),
                                 Tensor(rng_points.normal(0, 2, (2, 3, 3))))
         assert err < 1e-7
 
@@ -440,18 +458,11 @@ class TestOpsForwardValues:
     def test_concat_and_split_gradients(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)
         b = Tensor(np.ones((1, 2)), requires_grad=True)
-        out = nm.concat([a, b], axis=0)
+        out = nm.concat([a, b])
         assert out.data.shape == (3, 2)
         backward(nm.sum_(nm.mul(out, Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))))
         np.testing.assert_array_equal(a.grad, [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(b.grad, [[5.0, 6.0]])
-
-    def test_mean_axis_keepdims(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        out = nm.mean(x, axis=1, keepdims=True)
-        assert out.data.shape == (2, 1)
-        backward(nm.sum_(out))
-        np.testing.assert_allclose(x.grad, np.full((2, 3), 1 / 3))
 
     def test_broadcast_add_unbroadcasts_grad(self):
         a = Tensor(np.zeros((3, 1, 2)), requires_grad=True)
@@ -469,7 +480,7 @@ class TestFiniteDiffCheck:
     def test_composite_ops(self, rng_points):
         point = Tensor(rng_points.normal(size=6))
         err = finite_diff_check(
-            lambda t: nm.sum_(nm.mul(nm.softplus(t), nm.softmax(t, axis=0))), point)
+            lambda t: nm.sum_(nm.mul(nm.softplus(t), nm.softmax(t))), point)
         assert err < 1e-7
 
     def test_rejects_nonscalar_op(self):

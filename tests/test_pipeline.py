@@ -488,7 +488,7 @@ class TestTrack:
         for seq in seqs:
             t, s, gt_s, _ = synthdata.crop_pair(seq, 0, cfg.template_size, cfg.search_size)
             a_cls, _ = forward(result.params, t, s)
-            probs = nm.softmax(a_cls, axis=0).data[1]
+            probs = nm.softmax(a_cls).data[1]
             r, c = np.unravel_index(int(np.argmax(probs)), probs.shape)
             hits += gt_s.contains(px[r, c], py[r, c])
         assert hits >= len(seqs) - 1

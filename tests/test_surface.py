@@ -22,7 +22,7 @@ ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_OPS = {
     "matmul": "test_correlation.py",     # composed_pw_corr, TestPwCorrBits
     "transpose": "test_correlation.py",  # composed_pw_corr
-    "concat": "test_correlation.py",     # TestDwCorr per-channel conv composition
+    "concat": "test_correlation.py",     # composed_pw_corr
     "relu": "test_numerics.py",          # composed_layer, TestConv2dFusedLayer
 }
 
