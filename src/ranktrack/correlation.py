@@ -113,10 +113,14 @@ def pw_corr(fz: Tensor, fx: Tensor) -> Tensor:
 
     def bw(g):
         g_agg = g[c:].reshape(c, hx * wx)
-        gw = zt.T @ g_agg
+        # gm is the gradient of w, then, in place, that of the scaled
+        # scores: w * (gm - dot) * scale, the composition's steps in order
+        gm = zt.T @ g_agg
         gzt = g_agg @ w.T if need_z else None
-        gs = w * (gw - np.sum(gw * w, axis=0, keepdims=True))
-        gm = gs * scale
+        dot = np.sum(gm * w, axis=0, keepdims=True)
+        gm -= dot
+        np.multiply(w, gm, out=gm)
+        gm *= scale
         gz = gx = None
         if need_z:
             gz = np.transpose(np.transpose(gzt) + gm @ x.T).reshape(c, hz, wz)

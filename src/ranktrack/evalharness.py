@@ -154,7 +154,12 @@ def evaluate(mp: pipeline.ModelParams, seqs: list[synthdata.Sequence],
 
     The report keeps the tracked boxes of every sequence in
     ``predictions``, so callers that need curves do not track again.
+    Tracking and scoring run on a copy of the parameters that does not
+    require gradients, so no op records a graph and every intermediate
+    array is freed once the next op has read it; ``mp`` is not touched.
     """
+    mp = pipeline.ModelParams(mp.corr_mode, mp.in_channels,
+                              {name: nm.Tensor(t.data) for name, t in mp.leaves()})
     jitter_master = SplitMix64(cfg.eval_seed).spawn(pipeline._DOM_JITTER)
     per_seq, predictions = [], []
     for i, seq in enumerate(seqs):

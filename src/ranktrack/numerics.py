@@ -32,6 +32,16 @@ gradient reaching a leaf is added to the leaf's ``grad`` buffer at once,
 in the order the walk produces it. A closure computes gradients only for
 the parents that require them and returns None for the others.
 
+A graph is consumed by its ``backward``: each node drops its parents and
+its closure as the walk reaches it, so its arrays are freed once its
+gradients are out, before the walk reaches the layers below. A second
+``backward`` over a consumed node, whether of the same loss or of a new
+graph built on top of it, raises ``RuntimeError``; a consumed node never
+passes for a leaf. Leaves are not consumed, and a fresh graph on them
+accumulates into their ``grad`` as before. A plain Python float operand
+of ``add``, ``sub`` or ``mul`` is a constant used as it is, without a
+Tensor around it.
+
 Adding on arrival makes accumulation across calls exact: for losses
 l_1..l_n that share only leaves, ``backward(mul(l_k, 1/n))`` for k = 1..n
 in turn gives the leaves the bits of one ``backward`` of the mean
@@ -172,15 +182,18 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _from_op(data: np.ndarray, parents: Sequence[Tensor], backward_fn, op: str) -> Tensor:
+def _from_op(data: np.ndarray, parents: Sequence[Tensor | None], backward_fn,
+             op: str) -> Tensor:
+    """The output tensor of an op; None in ``parents`` stands for a constant."""
     data = np.asarray(data, dtype=np.float64)
     _check_finite(data, op)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if any(p.requires_grad for p in parents):
+    if any(p is not None and p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(p if p.requires_grad else None for p in parents)
+        out._parents = tuple(p if p is not None and p.requires_grad else None
+                             for p in parents)
         out._backward_fn = backward_fn
     else:
         out.requires_grad = False
@@ -205,32 +218,50 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # -- elementwise arithmetic ---------------------------------------------------
 
+def _operand(x) -> tuple[Tensor | None, np.ndarray | float, bool]:
+    """(tensor, value, requires_grad) of an operand of add, sub or mul; a plain
+    float is a constant, (None, x, False), with no checked Tensor around it."""
+    if isinstance(x, float):
+        return None, x, False
+    t = _as_tensor(x)
+    return t, t.data, t.requires_grad
+
+
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.data.shape, b.data.shape
-    need_a, need_b = a.requires_grad, b.requires_grad
+    a, x, need_a = _operand(a)
+    b, y, need_b = _operand(b)
+    sa, sb = np.shape(x), np.shape(y)
 
     def bw(g):
         return (_unbroadcast(g, sa) if need_a else None,
                 _unbroadcast(g, sb) if need_b else None)
 
-    return _from_op(a.data + b.data, (a, b), bw, "add")
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    x, y = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (_unbroadcast(g * y, x.shape) if need_a else None,
-                _unbroadcast(g * x, y.shape) if need_b else None)
-
-    return _from_op(a.data * b.data, (a, b), bw, "mul")
+    return _from_op(x + y, (a, b), bw, "add")
 
 
 def sub(a, b) -> Tensor:
-    return add(a, mul(b, -1.0))
+    """a - b as one node, with the bits of ``add(a, mul(b, -1.0))``:
+    negation is exact and commutes with the sum of ``_unbroadcast``."""
+    a, x, need_a = _operand(a)
+    b, y, need_b = _operand(b)
+    sa, sb = np.shape(x), np.shape(y)
+
+    def bw(g):
+        return (_unbroadcast(g, sa) if need_a else None,
+                np.negative(_unbroadcast(g, sb)) if need_b else None)
+
+    return _from_op(x - y, (a, b), bw, "sub")
+
+
+def mul(a, b) -> Tensor:
+    a, x, need_a = _operand(a)
+    b, y, need_b = _operand(b)
+
+    def bw(g):
+        return (_unbroadcast(g * y, np.shape(x)) if need_a else None,
+                _unbroadcast(g * x, np.shape(y)) if need_b else None)
+
+    return _from_op(x * y, (a, b), bw, "mul")
 
 
 def relu(a) -> Tensor:
@@ -505,6 +536,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
+def _consumed(g):
+    raise RuntimeError("graph already consumed")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf; recorded
     intermediate nodes are not given a ``grad``.
@@ -512,7 +547,9 @@ def backward(loss: Tensor) -> None:
     Each recorded node is visited exactly once, in reverse topological
     order, so shared subexpressions contribute exactly once. Each
     contribution to a leaf is added to its ``grad`` as it arrives (see the
-    module docstring).
+    module docstring). The walk consumes the graph: a visited node loses
+    its parents and its closure, whose place takes ``_consumed``, so a
+    node's arrays are freed once its gradients are out.
     """
     if not isinstance(loss, Tensor):
         raise TypeError("backward expects a Tensor")
@@ -523,12 +560,16 @@ def backward(loss: Tensor) -> None:
 
     order = _topo_order(loss)
     flows: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
+    while order:
+        node = order.pop()
+        fn, parents = node._backward_fn, node._parents
+        node._backward_fn, node._parents = _consumed, ()
         flow = flows.pop(id(node), None)
         if flow is None:
             continue
-        grads = node._backward_fn(flow)
-        for parent, g in zip(node._parents, grads):
+        grads = fn(flow)
+        del fn, flow
+        for parent, g in zip(parents, grads):
             if parent is None or g is None:
                 continue
             if parent._backward_fn is None:
@@ -536,6 +577,7 @@ def backward(loss: Tensor) -> None:
                 continue
             prev = flows.get(id(parent))
             flows[id(parent)] = g if prev is None else prev + g
+        del grads
 
 
 # -- finite-difference oracle ---------------------------------------------------

@@ -101,7 +101,9 @@ class TrainConfig:
             raise ConfigError("corr_mode must be 'dw' or 'pw'")
         if self.rank_iou and self.rank_iou_ori:
             raise ConfigError("rank_iou and rank_iou_ori are mutually exclusive")
-        positive = ["template_size", "search_size", "in_channels", "beta", "gamma",
+        if self.in_channels != 3:
+            raise ConfigError("field 'in_channels' must be 3: sequences are RGB frames")
+        positive = ["template_size", "search_size", "beta", "gamma",
                     "ori_alpha", "lr", "batch_size", "iterations", "train_sequences",
                     "frames_per_sequence", "image_size", "eval_sequences", "eval_frames"]
         for name in positive:

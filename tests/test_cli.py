@@ -230,6 +230,7 @@ CASE_TEXTS = {
     "infinite-shift": TINY_CONFIG + "shift_aug = -inf\n",
     "similarity-above-one": TINY_CONFIG + "similarity = 1.5\n",
     "target-too-large": TINY_CONFIG + "target_size = 90\n",
+    "in-channels-1": TINY_CONFIG + "in_channels = 1\n",
 }
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
@@ -247,6 +248,8 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("train-similarity-above-one", cli.EXIT_CONFIG, "field 'similarity' must lie in [0, 1]"),
     ("train-target-too-large", cli.EXIT_CONFIG, "field 'target_size' must be less than half"),
     ("eval-similarity-above-one", cli.EXIT_CONFIG, "field 'similarity' must lie in [0, 1]"),
+    ("train-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
+    ("ablation-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("ablation-three-arms", cli.EXIT_CONFIG, "exactly 4 arm configs"),
     ("synth-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-out-under-file", cli.EXIT_IO, "Not a directory"),

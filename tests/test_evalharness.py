@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranktrack import evalharness, pipeline
+from ranktrack import numerics as nm
 from ranktrack.evalharness import (
     MetricReport,
     SequenceMetrics,
@@ -18,6 +19,7 @@ from ranktrack.evalharness import (
     success_curve,
 )
 from ranktrack.geometry import Box
+from ranktrack.rng import SplitMix64
 
 from conftest import quick_config
 
@@ -205,3 +207,25 @@ class TestEvaluateEndToEnd:
         a = report_csv(evalharness.evaluate(result.params, seqs, cfg))
         b = report_csv(evalharness.evaluate(result.params, seqs, cfg))
         assert a == b
+
+
+def test_evaluate_records_no_graph_and_leaves_the_parameters_alone(monkeypatch):
+    cfg = quick_config(eval_sequences=2, eval_frames=4)
+    mp = pipeline.init_params(cfg, SplitMix64(3))
+    for _, t in mp.leaves():
+        t.grad += 0.5
+    before = {name: (t.data.tobytes(), t.grad.tobytes()) for name, t in mp.leaves()}
+    recorded = []
+    real_from_op = nm._from_op
+
+    def counting_from_op(*args, **kwargs):
+        out = real_from_op(*args, **kwargs)
+        recorded.append(out.requires_grad)
+        return out
+
+    monkeypatch.setattr(nm, "_from_op", counting_from_op)
+    evalharness.evaluate(mp, pipeline.eval_pool(cfg), cfg)
+    assert recorded and not any(recorded), \
+        f"{sum(recorded)} of {len(recorded)} op outputs recorded a node"
+    after = {name: (t.data.tobytes(), t.grad.tobytes()) for name, t in mp.leaves()}
+    assert after == before and all(t.requires_grad for _, t in mp.leaves())

@@ -360,6 +360,34 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, 1.0)
         assert not np.signbit(y.grad).any()
 
+    def test_second_backward_of_a_graph_raises(self):
+        x = Tensor(3.0, requires_grad=True)
+        loss = nm.mul(x, x)
+        backward(loss)
+        with pytest.raises(RuntimeError, match="graph already consumed"):
+            backward(loss)
+        assert x.grad == 6.0
+
+    def test_consumed_node_as_a_parent_raises_instead_of_taking_a_grad(self):
+        # were a consumed node to pass for a leaf, h would collect a grad
+        # and x would silently miss the second loss's gradient
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        h = nm.exp(x)
+        backward(nm.sum_(nm.mul(h, 3.0)))
+        first = x.grad.copy()
+        with pytest.raises(RuntimeError, match="graph already consumed"):
+            backward(nm.sum_(nm.mul(h, 2.0)))
+        assert h.grad is None and x.grad.tobytes() == first.tobytes()
+
+    def test_fresh_graph_on_the_same_leaves_accumulates(self):
+        x = Tensor([0.5, -1.0], requires_grad=True)
+        h = nm.exp(x)
+        backward(nm.sum_(h))
+        with pytest.raises(RuntimeError):
+            backward(nm.sum_(h))
+        backward(nm.sum_(nm.exp(x)))
+        assert x.grad.tobytes() == (np.exp(x.data) + np.exp(x.data)).tobytes()
+
     def test_only_leaves_receive_gradients(self):
         x = Tensor([0.5, -1.0], requires_grad=True)
         h = nm.exp(nm.mul(x, 2.0))
@@ -368,7 +396,7 @@ class TestBackward:
         assert h.grad is None and s.grad is None
         np.testing.assert_allclose(x.grad, 4.0 * s.data * h.data, rtol=1e-15)
 
-    @pytest.mark.parametrize("op", [nm.add, nm.mul, nm.matmul])
+    @pytest.mark.parametrize("op", [nm.add, nm.sub, nm.mul, nm.matmul])
     def test_constant_parent_is_not_kept(self, op):
         rng = np.random.default_rng(7)
         a = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -377,7 +405,7 @@ class TestBackward:
         kept = [cell.cell_contents for cell in out._backward_fn.__closure__]
         assert not any(isinstance(v, Tensor) for v in kept)
 
-    @pytest.mark.parametrize("op", [nm.add, nm.mul, nm.matmul])
+    @pytest.mark.parametrize("op", [nm.add, nm.sub, nm.mul, nm.matmul])
     def test_constant_parent_gets_no_gradient(self, op):
         rng = np.random.default_rng(5)
         a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
@@ -470,6 +498,51 @@ class TestOpsForwardValues:
         backward(nm.sum_(nm.add(a, b)))
         assert a.grad.shape == (3, 1, 2) and np.all(a.grad == 4.0)
         assert b.grad.shape == (4, 2) and np.all(b.grad == 3.0)
+
+
+class TestSubAndFloatConstants:
+    @pytest.mark.parametrize("sa,sb", [((3, 4), (3, 4)), ((3, 4), (1, 4)), ((3, 4), (4,)),
+                                       ((2, 1), (1, 3)), ((), (2, 3))])
+    def test_one_node_with_the_bits_of_add_of_negated(self, sa, sb):
+        rng = np.random.default_rng(17)
+        a = Tensor(rng.standard_normal(sa), requires_grad=True)
+        b = Tensor(rng.standard_normal(sb), requires_grad=True)
+        out = nm.sub(a, b)
+        neg = nm.mul(b, -1.0)
+        ref = nm.add(a, neg)
+        assert out._op == "sub" and out._parents == (a, b)
+        assert out.data.tobytes() == ref.data.tobytes()
+        g = rng.standard_normal(out.data.shape)
+        g.reshape(-1)[::2] = -0.0           # in a (3, 4) g, whole columns of -0.0
+        ga, gb = out._backward_fn(g)
+        ra, rneg = ref._backward_fn(g)
+        rb = neg._backward_fn(rneg)[0]
+        assert np.asarray(ga).tobytes() == np.asarray(ra).tobytes()
+        assert np.asarray(gb).tobytes() == np.asarray(rb).tobytes()
+
+    @pytest.mark.parametrize("op", [nm.add, nm.sub, nm.mul])
+    @pytest.mark.parametrize("left", [False, True])
+    def test_float_constant_is_not_wrapped(self, monkeypatch, op, left):
+        rng = np.random.default_rng(19)
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        g = rng.standard_normal((2, 3))
+        args = (0.75, a) if left else (a, 0.75)
+        ref = op(*(Tensor(x) if isinstance(x, float) else x for x in args))
+        checked = []
+        real_check = nm._check_finite
+
+        def counting_check(arr, name):
+            checked.append(name)
+            real_check(arr, name)
+
+        monkeypatch.setattr(nm, "_check_finite", counting_check)
+        out = op(*args)
+        assert checked == [out._op], "only the output is checked"
+        assert out._parents == ((None, a) if left else (a, None))
+        assert out.data.tobytes() == ref.data.tobytes()
+        got, want = out._backward_fn(g), ref._backward_fn(g)
+        k = 1 if left else 0
+        assert got[1 - k] is None and got[k].tobytes() == want[k].tobytes()
 
 
 class TestFiniteDiffCheck:

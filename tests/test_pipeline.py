@@ -192,6 +192,26 @@ class TestImageLoss:
         assert out.total._backward_fn is not None
         assert held <= 16 * 2**20, f"graph holds {held / 2**20:.1f} MiB"
 
+    def test_backward_of_a_paper_loss_peaks_at_most_18_mib(self):
+        # The same sample through its loss and backward. Keeping the whole
+        # graph until backward returned, with pw_corr's backward on fresh
+        # temporaries, peaked at 20.5 MiB, at the bb2 search conv's backward;
+        # backward now frees each node once its gradients are out.
+        cfg = quick_config(template_size=127, search_size=255, corr_mode="pw",
+                           rank_cls=True, rank_iou=True)
+        mp = init_params(cfg, SplitMix64(5))
+        seq = synthdata.gen_sequence(synthdata.SequenceSpec(seed=6, frames=3))
+        t, s, gt_s, _ = synthdata.crop_pair(seq, 1, 127, 255)
+        grid = head_grid(cfg)
+        nm.backward(image_loss(cfg, mp, t, s, gt_s, grid)[0].total)  # warm caches
+        tracemalloc.start()
+        try:
+            nm.backward(image_loss(cfg, mp, t, s, gt_s, grid)[0].total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 2**20, f"loss and backward peaked at {peak / 2**20:.1f} MiB"
+
     def test_raster_is_not_kept_by_the_graph(self):
         cfg, mp, t, _, _ = self.setup_model()
         first = pipeline._backbone(mp, t)
