@@ -170,7 +170,7 @@ class LabelMap:
         return np.flatnonzero(self.cls.reshape(-1) == NEGATIVE)
 
 
-def assign_labels(grid: HeadGrid, gt: Box, shrink: float = POSITIVE_SHRINK) -> LabelMap:
+def assign_labels(grid: HeadGrid, gt: Box) -> LabelMap:
     """Label grid locations against one ground-truth box.
 
     Positive inside the shrunk box, negative outside the full box,
@@ -180,7 +180,7 @@ def assign_labels(grid: HeadGrid, gt: Box, shrink: float = POSITIVE_SHRINK) -> L
     px, py = grid.pixel_xy()
     cls = np.full((grid.height, grid.width), NEGATIVE, dtype=np.int8)
     cls[gt.contains(px, py)] = IGNORE
-    cls[gt.scaled_about_center(shrink).contains(px, py)] = POSITIVE
+    cls[gt.scaled_about_center(POSITIVE_SHRINK).contains(px, py)] = POSITIVE
     return LabelMap(cls=cls)
 
 

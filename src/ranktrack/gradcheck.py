@@ -28,6 +28,8 @@ from .rng import SplitMix64
 
 OP_TOL = 1e-4
 END_TO_END_TOL = 1e-3
+END_TO_END_WEIGHTS = 20   # weights the end-to-end check perturbs
+END_TO_END_STEP = 1e-5
 POINTS = 10
 
 
@@ -140,10 +142,10 @@ def _combine(r: SplitMix64) -> float:
 
 # -- end-to-end -----------------------------------------------------------------
 
-def end_to_end_error(rng: SplitMix64, n_weights: int = 20, step: float = 1e-5) -> float:
+def end_to_end_error(rng: SplitMix64) -> float:
     """Central-difference check of the training loss, ``pipeline.image_loss``
     with every loss switched on, against its recorded gradients, on a
-    random weight sample at a random init.
+    random sample of ``END_TO_END_WEIGHTS`` weights at a random init.
 
     The IoU-ranking term keeps the freeze convention: every perturbed
     evaluation gets the base evaluation's rank plan (otherwise the
@@ -171,7 +173,7 @@ def end_to_end_error(rng: SplitMix64, n_weights: int = 20, step: float = 1e-5) -
     names = sorted(mp.params)
     picks = []
     pick_rng = rng.spawn(9)
-    for _ in range(n_weights):
+    for _ in range(END_TO_END_WEIGHTS):
         name = names[pick_rng.randint(len(names))]
         picks.append((name, pick_rng.randint(mp.params[name].data.size)))
 
@@ -180,12 +182,12 @@ def end_to_end_error(rng: SplitMix64, n_weights: int = 20, step: float = 1e-5) -
         t = mp.params[name]
         analytic = float(t.grad.reshape(-1)[flat])
         orig = float(t.data.reshape(-1)[flat])
-        t.data.reshape(-1)[flat] = orig + step
+        t.data.reshape(-1)[flat] = orig + END_TO_END_STEP
         f_plus = loss(base.plan).total.item()
-        t.data.reshape(-1)[flat] = orig - step
+        t.data.reshape(-1)[flat] = orig - END_TO_END_STEP
         f_minus = loss(base.plan).total.item()
         t.data.reshape(-1)[flat] = orig
-        numeric = (f_plus - f_minus) / (2 * step)
+        numeric = (f_plus - f_minus) / (2 * END_TO_END_STEP)
         err = abs(analytic - numeric) / max(1e-12, abs(analytic) + abs(numeric))
         worst = max(worst, err)
     mp.zero_grad()

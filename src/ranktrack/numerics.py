@@ -9,12 +9,12 @@ Everything else in the repo composes from these, apart from three nodes
 built on ``_from_op`` elsewhere: ``correlation.dw_corr``,
 ``correlation.pw_corr`` (the attention of template features over search
 features) and ``geometry.iou_tensor`` (box IoU with a closed-form
-gradient). ``matmul``, ``concat``, ``transpose`` and ``relu`` are not used
-by the model: they are the reference compositions that the tests hold
-the correlations and the fused conv layer to, bit for bit.
-``conv2d(x, k, bias=b, relu=True)`` records a conv layer with its bias
-add and ReLU as one node with the bits of that composition, and
-``log_softmax`` is one node with the forward bits of its composition.
+gradient). ``conv2d(x, k, bias=b, relu=True)`` records a conv layer with
+its bias add and ReLU as one node with the bits of that composition, and
+``log_softmax`` is one node with the forward bits of its composition. The
+tests hold the fused layer and ``pw_corr`` to op-by-op compositions bit
+for bit; the ops those need beyond these (``tests/reference_ops.py``) are
+not part of the library.
 
 All storage is float64. Every op validates that its output is finite
 and raises :class:`NonFiniteError` instead of propagating NaN/Inf.
@@ -69,9 +69,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "NonFiniteError", "Tensor", "add", "sub", "mul", "matmul", "conv2d", "relu",
-    "exp", "softplus", "concat", "reshape", "transpose", "sum_", "mean", "softmax",
-    "log_softmax", "backward", "finite_diff_check",
+    "NonFiniteError", "Tensor", "add", "sub", "mul", "conv2d", "exp", "softplus",
+    "reshape", "sum_", "mean", "softmax", "log_softmax", "backward", "finite_diff_check",
 ]
 
 
@@ -264,16 +263,6 @@ def mul(a, b) -> Tensor:
     return _from_op(x * y, (a, b), bw, "mul")
 
 
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    mask = a.data > 0
-
-    def bw(g):
-        return (g * mask,)
-
-    return _from_op(np.where(mask, a.data, 0.0), (a,), bw, "relu")
-
-
 def exp(a) -> Tensor:
     a = _as_tensor(a)
     with np.errstate(over="ignore"):
@@ -298,23 +287,7 @@ def softplus(a) -> Tensor:
     return _from_op(out, (a,), bw, "softplus")
 
 
-# -- linear algebra -----------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    x, y = a.data, b.data
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (g @ y.T if need_a else None,
-                x.T @ g if need_b else None)
-
-    return _from_op(a.data @ b.data, (a, b), bw, "matmul")
-
+# -- convolution --------------------------------------------------------------
 
 def _kernel_rows(a: np.ndarray, kw: int) -> np.ndarray:
     """View each run of ``kw`` adjacent float64 values on the last axis as
@@ -412,20 +385,6 @@ def conv2d(x, kernels, bias=None, relu: bool = False) -> Tensor:
 
 # -- shape plumbing -----------------------------------------------------------
 
-def concat(tensors: Sequence) -> Tensor:
-    """Join tensors along axis 0, the channel axis."""
-    parts = [_as_tensor(t) for t in tensors]
-    if not parts:
-        raise ValueError("concat of no tensors")
-    ends = np.cumsum([p.data.shape[0] for p in parts])
-    out = np.concatenate([p.data for p in parts])
-
-    def bw(g):
-        return tuple(np.split(g, ends[:-1]))
-
-    return _from_op(out, parts, bw, "concat")
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     src = a.data.shape
@@ -434,16 +393,6 @@ def reshape(a, shape) -> Tensor:
         return (g.reshape(src),)
 
     return _from_op(a.data.reshape(shape), (a,), bw, "reshape")
-
-
-def transpose(a) -> Tensor:
-    """Reverse the axes, as ``a.T``."""
-    a = _as_tensor(a)
-
-    def bw(g):
-        return (g.T,)
-
-    return _from_op(a.data.T, (a,), bw, "transpose")
 
 
 def getitem(a, idx) -> Tensor:

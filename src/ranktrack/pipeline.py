@@ -76,7 +76,6 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int = 4
     iterations: int = 1000
-    rank_warmup: int = 0             # iterations before rank losses switch on
     shift_aug: float = 16.0          # max search-center jitter during training, px
 
     # training data
@@ -109,7 +108,7 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"field {name!r} must be positive")
-        nonneg = ["alpha", "tau_neg", "momentum", "rank_warmup", "shift_aug", "eval_jitter"]
+        nonneg = ["alpha", "tau_neg", "momentum", "shift_aug", "eval_jitter"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"field {name!r} must be non-negative")
@@ -251,7 +250,7 @@ def forward(mp: ModelParams, template: np.ndarray | Tensor, search: np.ndarray,
 # -- per-image loss -------------------------------------------------------------
 
 def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
-               search: np.ndarray, gt: Box, grid: HeadGrid, enable_rank: bool = True,
+               search: np.ndarray, gt: Box, grid: HeadGrid,
                plan: losses.RankPlan | None = None,
                ) -> tuple[losses.LossBreakdown, float | None] | None:
     """Loss terms for one (template, search, gt) triple, plus the
@@ -291,7 +290,7 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
     rank_cls_term: Tensor | float = 0.0
     skipped = False
     margin: float | None = None
-    if cfg.rank_cls and enable_rank:
+    if cfg.rank_cls:
         if plan.hard_idx.size == 0:
             skipped = True
         else:
@@ -301,11 +300,10 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
             margin = p_plus.item() - p_minus.item()
 
     rank_iou_term: Tensor | float = 0.0
-    if enable_rank:
-        if cfg.rank_iou:
-            rank_iou_term = losses.rank_iou_loss(batch, cfg.gamma, plan)
-        elif cfg.rank_iou_ori:
-            rank_iou_term = losses.rank_iou_loss_ori(batch, cfg.ori_alpha)
+    if cfg.rank_iou:
+        rank_iou_term = losses.rank_iou_loss(batch, cfg.gamma, plan)
+    elif cfg.rank_iou_ori:
+        rank_iou_term = losses.rank_iou_loss_ori(batch, cfg.ori_alpha)
 
     breakdown = losses.combine(cls_term, loc_term, rank_cls_term, rank_iou_term,
                                skipped_rank_cls=skipped,
@@ -418,7 +416,6 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
     last_row: LogRow | None = None
 
     for it in range(cfg.iterations):
-        enable_rank = it >= cfg.rank_warmup
         batch = _draw_batch(cfg, pool, sampler, grid)
         if not batch:
             raise DivergenceError(f"no trainable samples at iteration {it}",
@@ -429,8 +426,7 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
         while batch:
             k, search, gt_s = batch.pop(0)
             try:
-                breakdown, margin = image_loss(cfg, mp, templates[k], search, gt_s, grid,
-                                               enable_rank=enable_rank)
+                breakdown, margin = image_loss(cfg, mp, templates[k], search, gt_s, grid)
             except nm.NonFiniteError as e:
                 raise DivergenceError(f"non-finite loss at iteration {it}: {e}",
                                       _snapshot(mp, it, last_row)) from e
@@ -542,18 +538,6 @@ def check_params(mp: ModelParams, cfg: TrainConfig) -> None:
 
 # -- tracking ---------------------------------------------------------------------
 
-def hann2d(n: int) -> np.ndarray:
-    """Cosine (Hann) window over an n x n grid: peak at the center, 0 at the rim.
-
-    Tracking centers the search crop on the previous position, so the
-    window is centered there too. ``track_step`` scores cells by
-    (1 - w) * p + w * hann: the window may move the pick among near-equal
-    cells, but is meant to keep it on the same target.
-    """
-    w = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / max(n - 1, 1)))
-    return np.outer(w, w)
-
-
 def search_transform(prev: Box, cfg: TrainConfig) -> synthdata.CropTransform:
     """Search crop for one tracking step: centered on the previous box, its
     context square scaled by search_size / template_size."""
@@ -563,11 +547,11 @@ def search_transform(prev: Box, cfg: TrainConfig) -> synthdata.CropTransform:
 
 
 def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray,
-               prev: Box, cfg: TrainConfig, window_influence: float = 0.0,
-               ) -> tuple[tuple[int, int], Box]:
+               prev: Box, cfg: TrainConfig) -> tuple[tuple[int, int], Box]:
     """One tracking step: search ``frame`` around ``prev`` and pick the
-    grid cell with the best windowed score, as described in ``track``.
-    ``template`` is the template raster or its ``embed_template`` features.
+    grid cell with the highest foreground probability, as described in
+    ``track``. ``template`` is the template raster or its
+    ``embed_template`` features.
 
     Returns the chosen grid cell (row, col) and its decoded box in image
     coordinates, clamped to the frame; a degenerate box is replaced by
@@ -579,9 +563,7 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
 
     a_cls, a_loc = forward(mp, template, search)
     probs = nm.softmax(a_cls).data[1]
-    score = probs if window_influence <= 0 else \
-        (1.0 - window_influence) * probs + window_influence * hann2d(grid.height)
-    r, c = (int(i) for i in np.unravel_index(int(np.argmax(score)), score.shape))
+    r, c = (int(i) for i in np.unravel_index(int(np.argmax(probs)), probs.shape))
     # the chosen cell's pixel alone, with the bytes of grid.pixel_xy()[r, c]
     box_search = Box(*decode_boxes(grid.offset_x + grid.stride * c,
                                    grid.offset_y + grid.stride * r, a_loc.data[:, r, c]))
@@ -592,25 +574,21 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
     return (r, c), box
 
 
-def track(mp: ModelParams, seq: synthdata.Sequence, cfg: TrainConfig,
-          window_influence: float = 0.0) -> list[Box]:
+def track(mp: ModelParams, seq: synthdata.Sequence, cfg: TrainConfig) -> list[Box]:
     """Frame-by-frame inference from the first-frame ground truth.
 
     Each later frame is one ``track_step`` from the previous prediction:
-    crop the search region around it, pick the grid cell with the best
-    score (1 - w) * p + w * hann, decode its box, and map it back to image
-    coordinates clamped to the frame. Here p is the foreground
-    probability, hann the cosine window centered on the previous position
-    and w = ``window_influence`` (0 turns the window off). The window may
-    move the pick among near-equal cells, but is meant to keep it on the
-    same target; since the next crop is centered on the pick, such a move
-    shifts every later frame slightly. The template features are computed
-    once per sequence, so a frame costs one search crop and one search
-    forward.
+    crop the search region around it, pick the grid cell with the highest
+    foreground probability, decode its box, and map it back to image
+    coordinates clamped to the frame. Confidence alone picks the box, with
+    no cosine window or other re-scoring: the ranking losses train that
+    confidence to rank the target above distractors and in IoU order. The
+    template features are computed once per sequence, so a frame costs
+    one search crop and one search forward.
     """
     template = embed_template(mp, synthdata.crop_template(seq, cfg.template_size))
     preds = [seq.gt[0]]
     for t in range(1, len(seq)):
-        _, box = track_step(mp, template, seq.frames[t], preds[-1], cfg, window_influence)
+        _, box = track_step(mp, template, seq.frames[t], preds[-1], cfg)
         preds.append(box)
     return preds

@@ -296,9 +296,9 @@ class CropTransform:
                    box.x2 / self.scale + x0, box.y2 / self.scale + y0)
 
 
-def context_side(box: Box, margin_ratio: float = 0.5) -> float:
-    """Square crop side with additive context margin ratio * (w + h)."""
-    m = margin_ratio * (box.width + box.height)
+def context_side(box: Box) -> float:
+    """Square crop side with additive context margin 0.5 * (w + h)."""
+    m = 0.5 * (box.width + box.height)
     return float(np.sqrt((box.width + m) * (box.height + m)))
 
 
@@ -382,21 +382,20 @@ def crop_search(seq: Sequence, index: int, template_size: int = 64,
     return search, tf.to_crop(gt), tf
 
 
-def crop_pair(seq: Sequence, index: int, template_size: int = 64,
-              search_size: int = 128, search_center: tuple[float, float] | None = None,
+def crop_pair(seq: Sequence, index: int, template_size: int = 64, search_size: int = 128,
               ) -> tuple[np.ndarray, np.ndarray, Box, CropTransform]:
     """Template (frame 0) and search (frame ``index``) crops.
 
     The template is centered on the first-frame target with a 0.5*(w+h)
     context margin; the search covers the same physical extent scaled by
-    search_size/template_size, centered on the current target unless
-    ``search_center`` overrides it (training jitter). Returns
+    search_size/template_size, centered on the current target. Returns
     the two rasters, the ground truth mapped into search coordinates,
     and the search transform. The template depends only on the sequence,
     so callers that crop many frames of one sequence take it once from
-    ``crop_template`` and the rest from ``crop_search``.
+    ``crop_template`` and the rest from ``crop_search``, which also takes
+    a ``search_center`` (training jitter, scoring at a drifted center).
     """
-    search, gt_s, tf = crop_search(seq, index, template_size, search_size, search_center)
+    search, gt_s, tf = crop_search(seq, index, template_size, search_size)
     return crop_template(seq, template_size), search, gt_s, tf
 
 

@@ -7,6 +7,7 @@ from ranktrack import numerics as nm
 from ranktrack.correlation import _attention_weights, dw_corr, pw_corr
 from ranktrack.numerics import Tensor, finite_diff_check
 
+import reference_ops as refops
 from test_numerics import reference_conv2d
 
 
@@ -159,11 +160,11 @@ def composed_pw_corr(fz, fx):
     """``pw_corr`` as it was composed op by op before it became one node."""
     c, hz, wz = fz.data.shape
     _, hx, wx = fx.data.shape
-    z = nm.transpose(nm.reshape(fz, (c, hz * wz)))
+    z = refops.transpose(nm.reshape(fz, (c, hz * wz)))
     x = nm.reshape(fx, (c, hx * wx))
-    w = nm.softmax(nm.mul(nm.matmul(z, x), 1.0 / math.sqrt(c)))
-    aggregated = nm.reshape(nm.matmul(nm.transpose(z), w), (c, hx, wx))
-    return nm.concat([fx, aggregated])
+    w = nm.softmax(nm.mul(refops.matmul(z, x), 1.0 / math.sqrt(c)))
+    aggregated = nm.reshape(refops.matmul(refops.transpose(z), w), (c, hx, wx))
+    return refops.concat([fx, aggregated])
 
 
 def grads_into(op, fz, fx, g, need_z=True, need_x=True):

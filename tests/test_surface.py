@@ -1,4 +1,4 @@
-"""The exported surface is what the program uses.
+"""The program's surface is what the program uses.
 
 Every name in ``ranktrack.__all__`` and ``ranktrack.numerics.__all__`` must
 be read somewhere in the program, ``src/`` or ``bench/``: by its own module,
@@ -6,9 +6,11 @@ through a ``from ... import`` of it, or as an attribute of its module
 (``nm.conv2d``). Imports, definitions, export lists, docstrings and
 comments do not count, and neither does an attribute of the same name on
 something else (``bytes.decode``) or a parameter of the same name read
-inside its function (``conv2d``'s ``relu=``). The only exceptions are the
-reference ops below, kept for the tests that hold the fused ops to them bit
-for bit.
+inside its function (``conv2d``'s ``relu=``). Ops that only the tests need
+live in ``tests/reference_ops.py``.
+
+Every defaulted parameter of a ``ranktrack`` function must be passed by
+some call in the program, or the default is a constant in disguise.
 """
 
 import ast
@@ -18,13 +20,6 @@ import ranktrack
 from ranktrack import numerics
 
 ROOT = Path(__file__).resolve().parent.parent
-
-REFERENCE_OPS = {
-    "matmul": "test_correlation.py",     # composed_pw_corr, TestPwCorrBits
-    "transpose": "test_correlation.py",  # composed_pw_corr
-    "concat": "test_correlation.py",     # composed_pw_corr
-    "relu": "test_numerics.py",          # composed_layer, TestConv2dFusedLayer
-}
 
 
 def _reads(path: Path) -> set[tuple[str, str]]:
@@ -84,17 +79,80 @@ def test_every_export_is_used_by_the_program():
     unused = []
     for package in (ranktrack, numerics):
         for name in package.__all__:
-            if name.startswith("__") or name in REFERENCE_OPS:
+            if name.startswith("__"):
                 continue
             if (getattr(package, name).__module__, name) not in reads:
                 unused.append(f"{package.__name__}.{name}")
     assert not unused, f"exported but never read by src/ or bench/: {unused}"
 
 
-def test_reference_ops_are_exported_and_used_by_their_tests():
-    reads = _program_reads()
-    for name, test_file in REFERENCE_OPS.items():
-        assert name in numerics.__all__
-        assert ("ranktrack.numerics", name) not in reads, \
-            f"{name} is used by the program; drop it from REFERENCE_OPS"
-        assert f"nm.{name}(" in (ROOT / "tests" / test_file).read_text()
+def _defaulted_params(tree: ast.AST) -> list[tuple[str, str, int | None]]:
+    """(callee name, parameter, positional index at the call or None for a
+    keyword-only one) of every parameter with a default. A method's index
+    leaves out ``self``, and ``__init__`` is called by its class name."""
+    found = []
+
+    def visit(node, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            skip = 1 if cls and not static else 0
+            name = cls if cls and child.name == "__init__" else child.name
+            a = child.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            found.extend((name, arg.arg, i - skip)
+                         for i, arg in enumerate(positional[first:], start=first))
+            found.extend((name, arg.arg, None)
+                         for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            visit(child, None)
+
+    visit(tree, None)
+    return found
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):   # None: **kwargs
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _never_passed(sources: list[str], program: list[str]) -> list[str]:
+    calls: dict[str, list[ast.Call]] = {}
+    for text in program:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [f"{fn}({param})" for text in sources
+            for fn, param, index in _defaulted_params(ast.parse(text))
+            if not any(_passes(c, param, index) for c in calls.get(fn, []))]
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    sources = [p.read_text() for p in (ROOT / "src" / "ranktrack").glob("*.py")]
+    program = sources + [p.read_text() for p in (ROOT / "bench").glob("*.py")]
+    unpassed = _never_passed(sources, program)
+    assert not unpassed, f"defaults that no call in src/ or bench/ overrides: {unpassed}"
+
+
+def test_never_passed_reads_positions_keywords_and_constructors():
+    source = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0): pass\n"
+        "    def m(self, z=3): pass\n"
+    )
+    assert _never_passed([source], [source + "f(1)\nK(1)\nk.m()\n"]) == \
+        ["f(b)", "f(c)", "K(y)", "m(z)"]
+    assert _never_passed([source], [source + "f(1, 2, c=3)\nK(1, 2)\nk.m(z=4)\n"]) == []
+    assert _never_passed([source], [source + "f(*args, **kw)\nK(1, **kw)\nk.m(*zs)\n"]) == []

@@ -295,9 +295,8 @@ class TestCropPair:
     def test_search_center_override(self):
         seq = gen_sequence(SequenceSpec(seed=11, frames=2, motion_sigma=0.0))
         _, _, gt_a, _ = crop_pair(seq, 1, 64, 128)
-        _, _, gt_b, tf = crop_pair(seq, 1, 64, 128,
-                                   search_center=(seq.gt[1].center[0] + 10,
-                                                  seq.gt[1].center[1]))
+        _, gt_b, tf = crop_search(seq, 1, 64, 128,
+                                  search_center=(seq.gt[1].center[0] + 10, seq.gt[1].center[1]))
         assert gt_b.center[0] < gt_a.center[0]
 
     def test_out_of_range_index(self):
@@ -309,8 +308,8 @@ class TestCropPair:
 
     def test_pair_is_template_plus_search(self):
         seq = gen_sequence(SequenceSpec(seed=14, frames=3))
-        template, search, gt_s, tf = crop_pair(seq, 2, 48, 96, search_center=(70.3, 81.9))
-        s2, gt2, tf2 = crop_search(seq, 2, 48, 96, search_center=(70.3, 81.9))
+        template, search, gt_s, tf = crop_pair(seq, 2, 48, 96)
+        s2, gt2, tf2 = crop_search(seq, 2, 48, 96)
         assert template.tobytes() == crop_template(seq, 48).tobytes()
         assert search.tobytes() == s2.tobytes()
         assert (gt_s, tf) == (gt2, tf2)
