@@ -24,7 +24,8 @@ POSITIVE_SHRINK = 0.5
 class Box:
     """Axis-aligned rectangle in pixel coordinates, corners inclusive of x1y1.
 
-    Any extent >= 0 is accepted, but an extent is only as exact as the
+    Any finite corners with extents >= 0 are accepted (NaN and infinite
+    ones are not), but an extent is only as exact as the
     coordinates that bound it: a positive width far below the rounding
     step of x1 and x2 (e.g. 1e-38 at x = 1) becomes 0 when the box is
     ``translated``. See ``iou`` for the extents under which IoU survives
@@ -39,7 +40,7 @@ class Box:
     def __post_init__(self):
         for name in ("x1", "y1", "x2", "y2"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        if not (-np.inf < self.x1 <= self.x2 < np.inf and -np.inf < self.y1 <= self.y2 < np.inf):
             raise ValueError(f"degenerate box extents: {self}")
 
     @property

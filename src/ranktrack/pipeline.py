@@ -108,10 +108,15 @@ class TrainConfig:
         for name in positive:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"field {name!r} must be positive")
-        nonneg = ["alpha", "tau_neg", "momentum", "shift_aug", "eval_jitter"]
+        nonneg = ["alpha", "tau_neg", "momentum", "w_rpn", "w_rank_cls", "w_rank_iou",
+                  "shift_aug", "eval_jitter"]
         for name in nonneg:
             if getattr(self, name) < 0:
                 raise ConfigError(f"field {name!r} must be non-negative")
+        if self.tau_neg >= 1:
+            raise ConfigError("field 'tau_neg' must be less than 1, or no negative is hard")
+        if self.momentum >= 1:
+            raise ConfigError("field 'momentum' must be less than 1, or steps never fade")
         if self.template_size >= self.search_size:
             raise ConfigError("template_size must be smaller than search_size")
         if feature_extent(self.template_size) < 1:
@@ -496,7 +501,8 @@ def save_checkpoint(mp: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read a ``save_checkpoint`` file; a damaged one raises ValueError."""
+    """Read a ``save_checkpoint`` file. A damaged one, truncated, holding a
+    non-finite value or with bytes after its last tensor, raises ValueError."""
     with open(path, "rb") as f:
         def read(n: int) -> bytes:
             data = f.read(n)
@@ -516,12 +522,16 @@ def load_checkpoint(path: str) -> ModelParams:
         if set(header) != {"corr_mode", "in_channels"}:
             raise ValueError(f"bad checkpoint header: {path}")
         mp = ModelParams(corr_mode=header["corr_mode"], in_channels=int(header["in_channels"]))
+        name = None
         for _ in range(u32s()[0]):
             name = read(u32s()[0]).decode()
             shape = u32s(u32s()[0])
-            raw = read(8 * int(np.prod(shape)))
-            data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            data = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
+            if not np.isfinite(data).all():
+                raise ValueError(f"non-finite value in tensor {name!r} of checkpoint {path}")
             mp.params[name] = Tensor(data, requires_grad=True)
+        if f.read(1):
+            raise ValueError(f"bytes after the last tensor, {name!r}, of checkpoint {path}")
     return mp
 
 

@@ -416,6 +416,8 @@ def _read_ppm(path: str) -> np.ndarray:
     if not m:
         raise ValueError(f"not a binary PPM file: {path}")
     w, h, maxval = (int(g) for g in m.groups())
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: a {w}x{h} image has no pixels")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 PPMs are supported")
     if len(blob) - m.end() < h * w * 3:
@@ -455,9 +457,10 @@ def export_sequence(seq: Sequence, out_dir: str) -> None:
 def import_sequence(in_dir: str) -> Sequence:
     """Read a directory written by ``export_sequence``; raises a ValueError
     that names the file, and for annotations the line, when a frame is not
-    a whole PPM, frames differ in shape, an annotation line is not a valid
-    "frame x1 y1 x2 y2" box, a box block lacks a frame's line or spec.txt
-    does not hold a valid spec."""
+    a whole PPM with pixels, frames differ in shape, an annotation line is
+    not a valid "frame x1 y1 x2 y2" box with finite corners, names a frame
+    that does not exist or that its block already gave, a box block lacks
+    a frame's line or spec.txt does not hold a valid spec."""
     names = sorted(n for n in os.listdir(in_dir) if n.startswith("frame_") and n.endswith(".ppm"))
     if not names:
         raise ValueError(f"no frames found in {in_dir}")
@@ -479,7 +482,12 @@ def import_sequence(in_dir: str) -> Sequence:
             t, *xyxy = line.split()
             if len(xyxy) != 4:
                 raise ValueError(f"expected 'frame x1 y1 x2 y2', got {line!r}")
-            blocks[-1][int(t)] = Box(*map(float, xyxy))
+            t = int(t)
+            if not 0 <= t < len(frames):
+                raise ValueError(f"frame {t} is outside 0..{len(frames) - 1}")
+            if t in blocks[-1]:
+                raise ValueError(f"a second line for frame {t} in this block")
+            blocks[-1][t] = Box(*map(float, xyxy))
         except ValueError as e:
             raise ValueError(f"{ann_path}: line {lineno}: {e}") from None
     if not blocks:

@@ -155,12 +155,55 @@ class TestBadSequenceDirs:
         assert code == cli.EXIT_CONFIG
         _only_error_line(err, f"{ann}: line 8: degenerate box extents")
 
+    def annotated(self, tmp_path, edit) -> tuple[list[str], Path]:
+        """An exported directory whose annotation lines ``edit`` changes in place."""
+        argv, seq_dir = self.exported(tmp_path)
+        ann = seq_dir / "annotations.txt"
+        lines = ann.read_text().split("\n")
+        edit(lines)
+        ann.write_text("\n".join(lines))
+        return argv, ann
+
+    @pytest.mark.parametrize("field,value", [(3, "nan"), (3, "inf"), (1, "-inf"), (2, "nan")])
+    def test_annotation_coordinate_not_finite(self, tmp_path, capsys, field, value):
+        def edit(lines):
+            fields = lines[7].split()
+            fields[field] = value
+            lines[7] = " ".join(fields)
+        argv, ann = self.annotated(tmp_path, edit)
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, f"{ann}: line 8: degenerate box extents")
+
+    def test_second_line_for_a_frame(self, tmp_path, capsys):
+        argv, ann = self.annotated(tmp_path, lambda lines: lines.insert(3, "2 1.0 2.0 3.0 4.0"))
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, f"{ann}: line 4: a second line for frame 2 in this block")
+
+    @pytest.mark.parametrize("frame", ["7", "-1", "5"])
+    def test_frame_number_outside_the_sequence(self, tmp_path, capsys, frame):
+        argv, ann = self.annotated(tmp_path,
+                                   lambda lines: lines.insert(8, f"{frame} 1.0 2.0 3.0 4.0"))
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, f"{ann}: line 9: frame {frame} is outside 0..4")
+
+    @pytest.mark.parametrize("size", ["0 0", "0 160", "160 0"])
+    def test_frame_without_pixels(self, tmp_path, capsys, size):
+        argv, seq_dir = self.exported(tmp_path)
+        frame = seq_dir / "frame_000003.ppm"
+        frame.write_bytes(f"P6\n{size}\n255\n".encode())
+        code, err = _eval_exit(capsys, argv)
+        assert code == cli.EXIT_CONFIG
+        _only_error_line(err, f"{frame}: a {size.replace(' ', 'x')} image has no pixels")
+
 
 # sha256 of the files `train` and `synth` write, taken before the config codec
 # and the command error handling were rewritten; that rewrite keeps every byte.
-# manifest.txt was re-taken when the config lost its `rank_warmup` field: the
-# manifest echoes every field, so it lost the line `rank_warmup = 0` and
-# nothing else. The checkpoint and run log did not move.
+# manifest.txt was re-taken when the config lost its rank warm-up field: the
+# manifest echoes every field, so it lost that field's line and nothing else.
+# The checkpoint and run log did not move.
 TRAIN_CONFIG = """# 64/128 dw, CR + IGR
 seed = 7
 template_size = 64
@@ -234,7 +277,13 @@ CASE_TEXTS = {
     "similarity-above-one": TINY_CONFIG + "similarity = 1.5\n",
     "target-too-large": TINY_CONFIG + "target_size = 90\n",
     "in-channels-1": TINY_CONFIG + "in_channels = 1\n",
+    "negative-rank-weight": TINY_CONFIG + "rank_cls = true\nw_rank_cls = -0.5\n",
+    "tau-neg-one": TINY_CONFIG + "rank_cls = true\ntau_neg = 1\n",
+    "momentum-one": TINY_CONFIG + "momentum = 1\n",
 }
+# how `eval`'s checkpoint, input.bin, is damaged: a weight set to a value, or
+# bytes appended
+DAMAGED_CHECKPOINTS = {"nan-weight": np.nan, "inf-weight": np.inf, "trailing-bytes": b"\0"}
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
                               ("non-utf8", "codec can't decode"))] + [
@@ -251,8 +300,15 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("train-similarity-above-one", cli.EXIT_CONFIG, "field 'similarity' must lie in [0, 1]"),
     ("train-target-too-large", cli.EXIT_CONFIG, "field 'target_size' must be less than half"),
     ("eval-similarity-above-one", cli.EXIT_CONFIG, "field 'similarity' must lie in [0, 1]"),
+    ("eval-nan-weight", cli.EXIT_CONFIG, "non-finite value in tensor 'cls2_b' of checkpoint"),
+    ("eval-inf-weight", cli.EXIT_CONFIG, "non-finite value in tensor 'cls2_b' of checkpoint"),
+    ("eval-trailing-bytes", cli.EXIT_CONFIG, "bytes after the last tensor, 'loc2_b', of checkpoint"),
     ("train-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("ablation-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
+    ("train-negative-rank-weight", cli.EXIT_CONFIG, "field 'w_rank_cls' must be non-negative"),
+    ("train-tau-neg-one", cli.EXIT_CONFIG, "field 'tau_neg' must be less than 1"),
+    ("ablation-tau-neg-one", cli.EXIT_CONFIG, "field 'tau_neg' must be less than 1"),
+    ("train-momentum-one", cli.EXIT_CONFIG, "field 'momentum' must be less than 1"),
     ("ablation-three-arms", cli.EXIT_CONFIG, "exactly 4 arm configs"),
     ("synth-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-out-under-file", cli.EXIT_IO, "Not a directory"),
@@ -263,7 +319,8 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
 
 def exit_case_argv(tmp_path, case: str) -> list[str]:
     """The command named first in ``case``, reading the input the rest of
-    ``case`` names as its spec, its config or its second of four arms."""
+    ``case`` names as its spec, its config, its checkpoint or its second of
+    four arms."""
     command, what = case.split("-", 1)
     path, out, good = tmp_path / "input.cfg", tmp_path / "out", tmp_path / "good.cfg"
     good.write_text(TINY_CONFIG)
@@ -281,6 +338,16 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         return ["ablation", "--arms", *map(str, arms), "--out", str(out)]
     flag = "--spec" if command == "synth" else "--config"
     extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
+    if what in DAMAGED_CHECKPOINTS:
+        damage, ckpt = DAMAGED_CHECKPOINTS[what], tmp_path / "input.bin"
+        cfg = configio.from_kv(pipeline.TrainConfig, configio.parse_kv(TINY_CONFIG))
+        mp = pipeline.init_params(cfg, SplitMix64(5))
+        if isinstance(damage, float):
+            mp.params["cls2_b"].data[1, 0, 0] = damage
+        pipeline.save_checkpoint(mp, str(ckpt))
+        if isinstance(damage, bytes):
+            ckpt.write_bytes(ckpt.read_bytes() + damage)
+        extra = ["--checkpoint", str(ckpt)]
     return [command, flag, str(path), "--out", str(out)] + extra
 
 
@@ -293,7 +360,8 @@ def test_exit_codes(tmp_path, capsys, case, code, text):
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and text in errors[0] and "Traceback" not in err, err
     if code == cli.EXIT_CONFIG and not case.endswith("three-arms"):
-        assert str(tmp_path / "input.cfg") in errors[0], "the error names the input file"
+        named = "input.bin" if case.split("-", 1)[1] in DAMAGED_CHECKPOINTS else "input.cfg"
+        assert str(tmp_path / named) in errors[0], "the error names the input file"
     if code == cli.EXIT_DIVERGED:
         assert (tmp_path / "out" / "divergence.txt").read_text().startswith(
             "non-finite loss at iteration 1:")

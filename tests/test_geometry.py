@@ -68,6 +68,14 @@ class TestBox:
         with pytest.raises(ValueError):
             Box(5, 0, 4, 10)
 
+    @pytest.mark.parametrize("corners", [
+        (np.nan, 0, 4, 10), (0, np.nan, 4, 10), (0, 0, np.nan, 10), (0, 0, 4, np.nan),
+        (-np.inf, 0, 4, 10), (0, 0, np.inf, 10), (0, -np.inf, 4, 10), (0, 0, 4, np.inf),
+        (np.inf, 0, np.inf, 10), (0, -np.inf, 4, -np.inf)])
+    def test_non_finite_corner_rejected(self, corners):
+        with pytest.raises(ValueError, match="degenerate box extents"):
+            Box(*corners)
+
     def test_clipped(self):
         b = Box(-5, -5, 300, 40).clipped(100, 50)
         assert (b.x1, b.y1, b.x2, b.y2) == (0, 0, 100, 40)

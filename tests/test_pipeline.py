@@ -74,6 +74,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="gamma"):
             configio.from_kv(TrainConfig, {"gamma": "fast"})
 
+    @pytest.mark.parametrize("field,value,text", [
+        ("w_rpn", -1.0, "must be non-negative"),
+        ("w_rank_cls", -0.5, "must be non-negative"),
+        ("w_rank_iou", -1e-9, "must be non-negative"),
+        ("tau_neg", 1.0, "must be less than 1"),
+        ("tau_neg", 2.5, "must be less than 1"),
+        ("momentum", 1.0, "must be less than 1"),
+        ("momentum", 1.5, "must be less than 1")])
+    def test_config_that_disables_or_inverts_a_loss_rejected(self, field, value, text):
+        with pytest.raises(ConfigError, match=f"field '{field}' {text}"):
+            quick_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("w_rpn", 0.0), ("w_rank_cls", 0.0), ("w_rank_iou", 0.0), ("tau_neg", 0.0),
+        ("tau_neg", np.nextafter(1.0, 0.0)), ("momentum", 0.0),
+        ("momentum", np.nextafter(1.0, 0.0))])
+    def test_boundary_values_accepted(self, field, value):
+        quick_config(**{field: value})
+
 
 class TestModelShapes:
     def test_feature_extent_halves_three_times(self):
