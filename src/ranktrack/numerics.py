@@ -52,10 +52,21 @@ contributions within a call before adding them would group them per call
 and change the rounding. Training relies on this to hold one sample's
 graph at a time.
 
-The recorded graph belongs to the thread that built it; tensors
-themselves are plain values and safe to hand between threads. Importing
-this module pins numpy's bundled OpenBLAS to one thread, so a seed gives
-the same bits whatever thread count the environment asks for.
+``backward(loss, sink)`` takes a list instead and appends each
+``(leaf, g)`` to it in the order the contributions arrive, leaving the
+leaves' ``grad`` alone. Adding them later, in list order, with
+``leaf.grad + g`` gives the leaf the bits that ``backward(loss)`` would
+have given it then; so the losses l_1..l_n above can run their backward
+in any order, or in other processes on copies of the leaves, as long as
+their lists are added in the order 1..n. Training runs a batch's samples
+this way.
+
+A recorded graph belongs to the process and the thread that built it:
+its closures hold arrays of that process, and ``backward`` consumes it.
+Tensors themselves are plain values, safe to hand between threads and to
+copy to another process as their arrays. Importing this module pins
+numpy's bundled OpenBLAS to one thread, so a seed gives the same bits
+whatever thread count the environment asks for.
 """
 
 from __future__ import annotations
@@ -489,13 +500,14 @@ def _consumed(g):
     raise RuntimeError("graph already consumed")
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, sink: list | None = None) -> None:
     """Accumulate d(loss)/d(leaf) into every requires_grad leaf; recorded
     intermediate nodes are not given a ``grad``.
 
     Each recorded node is visited exactly once, in reverse topological
     order, so shared subexpressions contribute exactly once. Each
-    contribution to a leaf is added to its ``grad`` as it arrives (see the
+    contribution to a leaf is added to its ``grad`` as it arrives, or,
+    given a ``sink`` list, appended to it as ``(leaf, g)`` instead (see the
     module docstring). The walk consumes the graph: a visited node loses
     its parents and its closure, whose place takes ``_consumed``, so a
     node's arrays are freed once its gradients are out.
@@ -522,7 +534,10 @@ def backward(loss: Tensor) -> None:
             if parent is None or g is None:
                 continue
             if parent._backward_fn is None:
-                parent.grad = g.copy() if parent.grad is None else parent.grad + g
+                if sink is not None:
+                    sink.append((parent, g))
+                else:
+                    parent.grad = g.copy() if parent.grad is None else parent.grad + g
                 continue
             prev = flows.get(id(parent))
             flows[id(parent)] = g if prev is None else prev + g

@@ -14,6 +14,9 @@ a run is reproducible bit for bit.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
 import struct
 import time
 from dataclasses import dataclass, field, fields
@@ -361,16 +364,18 @@ def _snapshot(mp: ModelParams, it: int, last: LogRow | None) -> dict:
 
 
 def _draw_batch(cfg: TrainConfig, pool: list[synthdata.Sequence], sampler: SplitMix64,
-                grid: HeadGrid) -> list[tuple[int, np.ndarray, Box]]:
-    """Up to ``batch_size`` training samples (sequence index, search crop,
-    ground truth in crop coordinates), drawn in turn from ``sampler``.
+                grid: HeadGrid) -> list[tuple[int, int, synthdata.CropTransform, Box]]:
+    """Up to ``batch_size`` training samples (sequence index, frame index,
+    search crop transform, ground truth in crop coordinates), drawn in turn
+    from ``sampler``.
 
     A draw picks a sequence and a frame and jitters the search center by up
     to ``shift_aug``; it is kept when its ground truth captures a positive
-    grid cell. Drawing stops after ``10 * batch_size`` draws, so a batch can
-    come back short or empty.
+    grid cell. That depends on the crop's geometry alone, so no pixel is
+    cropped here. Drawing stops after ``10 * batch_size`` draws, so a batch
+    can come back short or empty.
     """
-    batch: list[tuple[int, np.ndarray, Box]] = []
+    batch: list[tuple[int, int, synthdata.CropTransform, Box]] = []
     for _ in range(10 * cfg.batch_size):
         if len(batch) == cfg.batch_size:
             break
@@ -381,29 +386,110 @@ def _draw_batch(cfg: TrainConfig, pool: list[synthdata.Sequence], sampler: Split
         if cfg.shift_aug > 0:
             cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
             cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-        search, gt_s, _ = synthdata.crop_search(
-            seq, idx, cfg.template_size, cfg.search_size, search_center=(cx, cy))
+        tf = synthdata.search_crop_transform(seq, (cx, cy), cfg.template_size, cfg.search_size)
+        gt_s = tf.to_crop(seq.gt[idx])
         if assign_labels(grid, gt_s).n_pos > 0:
-            batch.append((k, search, gt_s))
+            batch.append((k, idx, tf, gt_s))
     return batch
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork workers."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_slots(cfg: TrainConfig, mp: ModelParams, pool: list[synthdata.Sequence],
+               templates: list[np.ndarray], grid: HeadGrid, scale: float, slots: list,
+               ) -> tuple[list, tuple[int, BaseException] | None]:
+    """Train the samples ``slots``, (slot, draw) pairs, in turn on ``mp``:
+    the search crop, ``image_loss``, and the backward of ``scale`` times its
+    total into a sink, freeing the graph before the next sample.
+
+    Returns (slot, loss terms, margin, [(leaf index, gradient), ...]) for
+    each sample done, and (slot, exception) for the first sample that
+    raised (None when none did); the samples after it are not run.
+    """
+    index = {id(t): i for i, (_, t) in enumerate(mp.leaves())}
+    done = []
+    for slot, (k, idx, tf, gt_s) in slots:
+        try:
+            search = synthdata.crop_window(pool[k].frames[idx], tf.cx, tf.cy, tf.side,
+                                           tf.out_size)
+            breakdown, margin = image_loss(cfg, mp, templates[k], search, gt_s, grid)
+            del search
+            sink: list = []
+            nm.backward(nm.mul(breakdown.total, scale), sink)
+        except Exception as e:
+            return done, (slot, e)
+        done.append((slot, breakdown.floats(), margin, [(index[id(t)], g) for t, g in sink]))
+        del breakdown, sink   # free the graph before the next forward
+    return done, None
+
+
+def _worker(conn, parent_ends: list, cfg: TrainConfig, mp: ModelParams,
+            pool: list[synthdata.Sequence], templates: list[np.ndarray], grid: HeadGrid) -> None:
+    """A forked training worker. For each message (the parameter arrays, the
+    scale and its slots) it replies with ``_run_slots``' result. It exits
+    when the pipe reaches EOF and leaves SIGINT to the parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:   # or a closed parent end would not reach EOF here
+        end.close()
+    leaves = [t for _, t in mp.leaves()]
+    while True:
+        try:
+            arrays, scale, slots = conn.recv()
+        except EOFError:
+            return
+        for t, data in zip(leaves, arrays):
+            t.data = data
+        done, failure = _run_slots(cfg, mp, pool, templates, grid, scale, slots)
+        try:
+            conn.send((done, failure))
+        except OSError:       # the parent has gone
+            return
+
+
+def _worker_died(proc) -> RuntimeError:
+    proc.join(timeout=5.0)
+    return RuntimeError(f"a training worker (pid {proc.pid}) died in the middle of training, "
+                        f"exit code {proc.exitcode}")
 
 
 def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> TrainResult:
     """Deterministic SGD-with-momentum run over synthetic crops.
 
     Each iteration draws its batch first (``_draw_batch``), n samples with
-    1 <= n <= ``batch_size``. Then, for each sample in draw order, it
-    records that sample's loss graph, backpropagates 1/n times its total
-    and frees the graph before the next sample's forward, so one sample's
-    graph is alive at a time. The leaves receive the bits of one backward
-    of the batch mean (see ``numerics``), and the logged total is the
-    left-to-right sum of the sample totals times 1/n. The momentum step
-    follows.
+    1 <= n <= ``batch_size``. Each sample, in slot order within its
+    process, records its loss graph, backpropagates 1/n times its total
+    into a sink (``numerics.backward``) and frees the graph before the
+    next sample's forward, so one sample's graph is alive at a time in a
+    process. Then every sample's leaf contributions are added to the
+    leaves' ``grad`` in draw order, so the leaves receive the bits of one
+    backward of the batch mean (see ``numerics``), and the logged total is
+    the left-to-right sum of the sample totals times 1/n. The momentum
+    step follows.
+
+    The samples run on W = min(``batch_size``, usable CPUs) processes: this
+    one takes slots 0, W, 2W, ... and W - 1 workers, forked once per call
+    after the pool and the templates are built, take the others. They
+    inherit the pool and the templates; each iteration sends them the
+    parameter arrays and their draws, and they send back their loss terms
+    and gradient contributions. With one usable CPU there are no workers.
+    The worker count changes no bit of the result. Every worker is joined
+    before ``train`` returns or raises; a worker that dies raises
+    RuntimeError. Python 3.12 and later warn (DeprecationWarning) when a
+    process that runs threads forks, and numpy's OpenBLAS may have started
+    threads at import.
 
     Identical config (seed included) reproduces the final parameters bit
     for bit. Raises DivergenceError with a diagnostic snapshot when any
-    loss or parameter stops being finite, or when no draw of an
-    iteration yields a trainable sample.
+    loss or parameter stops being finite (for the loss, that of the
+    lowest failing slot of the batch), or when no draw of an iteration
+    yields a trainable sample.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -413,6 +499,7 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
     init_rng = master.spawn(_DOM_INIT)
     sampler = master.spawn(_DOM_SAMPLER)
     mp = init_params(cfg, init_rng)
+    leaves = [t for _, t in mp.leaves()]
     grid = head_grid(cfg)
 
     templates = [synthdata.crop_template(seq, cfg.template_size) for seq in pool]
@@ -420,49 +507,90 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
     log: list[LogRow] = []
     last_row: LogRow | None = None
 
-    for it in range(cfg.iterations):
-        batch = _draw_batch(cfg, pool, sampler, grid)
-        if not batch:
-            raise DivergenceError(f"no trainable samples at iteration {it}",
-                                  _snapshot(mp, it, last_row))
-        scale = 1.0 / len(batch)
-        terms: list[dict[str, float]] = []
-        margins: list[float] = []
-        while batch:
-            k, search, gt_s = batch.pop(0)
-            try:
-                breakdown, margin = image_loss(cfg, mp, templates[k], search, gt_s, grid)
-            except nm.NonFiniteError as e:
-                raise DivergenceError(f"non-finite loss at iteration {it}: {e}",
-                                      _snapshot(mp, it, last_row)) from e
-            nm.backward(nm.mul(breakdown.total, scale))
-            terms.append(breakdown.floats())
-            if margin is not None:
-                margins.append(margin)
-            del breakdown, search   # free the graph and the crop before the next forward
+    n_procs = min(cfg.batch_size, _usable_cpus())
+    workers: list = []   # (process, pipe end) of each worker
+    try:
+        ctx = multiprocessing.get_context("fork") if n_procs > 1 else None
+        ends: list = []
+        for _ in range(n_procs - 1):
+            here, there = ctx.Pipe()
+            ends.append(here)
+            proc = ctx.Process(target=_worker, args=(there, ends, cfg, mp, pool, templates, grid))
+            proc.start()
+            there.close()
+            workers.append((proc, here))
 
-        total = terms[0]["total"]
-        for f in terms[1:]:
-            total += f["total"]
-        row = LogRow(
-            iteration=it,
-            cls=float(np.mean([f["cls"] for f in terms])),
-            loc=float(np.mean([f["loc"] for f in terms])),
-            rank_cls=float(np.mean([f["rank_cls"] for f in terms])),
-            rank_iou=float(np.mean([f["rank_iou"] for f in terms])),
-            total=total * scale,
-            margin=float(np.mean(margins)) if margins else float("nan"),
-        )
-        log.append(row)
-        last_row = row
-
-        for name, t in mp.leaves():
-            velocity[name] = cfg.momentum * velocity[name] + t.grad
-            t.data = t.data - cfg.lr * velocity[name]
-            if not np.all(np.isfinite(t.data)):
-                raise DivergenceError(f"non-finite parameter {name!r} at iteration {it}",
+        for it in range(cfg.iterations):
+            batch = _draw_batch(cfg, pool, sampler, grid)
+            if not batch:
+                raise DivergenceError(f"no trainable samples at iteration {it}",
                                       _snapshot(mp, it, last_row))
-        mp.zero_grad()
+            scale = 1.0 / len(batch)
+            arrays = [t.data for t in leaves]
+            busy = []
+            for j, (proc, conn) in enumerate(workers, start=1):
+                if j < len(batch):
+                    try:
+                        conn.send((arrays, scale, [(s, batch[s])
+                                                   for s in range(j, len(batch), n_procs)]))
+                    except OSError:
+                        raise _worker_died(proc) from None
+                    busy.append((proc, conn))
+            done, failure = _run_slots(cfg, mp, pool, templates, grid, scale,
+                                       [(s, batch[s]) for s in range(0, len(batch), n_procs)])
+            failures = [failure] if failure else []
+            for proc, conn in busy:
+                try:
+                    theirs, failure = conn.recv()
+                except (EOFError, OSError):
+                    raise _worker_died(proc) from None
+                done += theirs
+                failures += [failure] if failure else []
+            if failures:
+                _, e = min(failures, key=lambda f: f[0])
+                if isinstance(e, nm.NonFiniteError):
+                    raise DivergenceError(f"non-finite loss at iteration {it}: {e}",
+                                          _snapshot(mp, it, last_row)) from e
+                raise e
+
+            done.sort(key=lambda d: d[0])
+            for _, _, _, grads in done:
+                for i, g in grads:
+                    leaves[i].grad = leaves[i].grad + g
+            terms = [floats for _, floats, _, _ in done]
+            margins = [margin for _, _, margin, _ in done if margin is not None]
+
+            total = terms[0]["total"]
+            for f in terms[1:]:
+                total += f["total"]
+            row = LogRow(
+                iteration=it,
+                cls=float(np.mean([f["cls"] for f in terms])),
+                loc=float(np.mean([f["loc"] for f in terms])),
+                rank_cls=float(np.mean([f["rank_cls"] for f in terms])),
+                rank_iou=float(np.mean([f["rank_iou"] for f in terms])),
+                total=total * scale,
+                margin=float(np.mean(margins)) if margins else float("nan"),
+            )
+            log.append(row)
+            last_row = row
+
+            for name, t in mp.leaves():
+                velocity[name] = cfg.momentum * velocity[name] + t.grad
+                t.data = t.data - cfg.lr * velocity[name]
+                if not np.all(np.isfinite(t.data)):
+                    raise DivergenceError(f"non-finite parameter {name!r} at iteration {it}",
+                                          _snapshot(mp, it, last_row))
+            mp.zero_grad()
+    except BaseException:
+        for proc, _ in workers:
+            proc.terminate()
+        raise
+    finally:
+        for proc, conn in workers:
+            conn.close()
+            proc.join()
+            proc.close()
 
     return TrainResult(params=mp, log=log, seconds=time.perf_counter() - t0)
 

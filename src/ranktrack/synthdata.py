@@ -42,6 +42,9 @@ from .rng import SplitMix64
 
 SHAPE_FAMILIES = ("rect", "ellipse", "triangle")
 
+# how far outside the frame an imported box may reach, in frame sizes
+BOX_REACH = 100
+
 _DOMAIN_APPEARANCE = 11
 _DOMAIN_MOTION = 12
 _DOMAIN_NOISE = 13
@@ -375,11 +378,18 @@ def crop_search(seq: Sequence, index: int, template_size: int = 64,
     if not (0 <= index < len(seq)):
         raise IndexError("frame index out of range")
     gt = seq.gt[index]
-    s_side = context_side(seq.gt[0]) * (search_size / template_size)
-    s_cx, s_cy = search_center if search_center is not None else gt.center
-    search = crop_window(seq.frames[index], s_cx, s_cy, s_side, search_size)
-    tf = CropTransform(cx=s_cx, cy=s_cy, side=s_side, out_size=search_size)
+    center = search_center if search_center is not None else gt.center
+    tf = search_crop_transform(seq, center, template_size, search_size)
+    search = crop_window(seq.frames[index], tf.cx, tf.cy, tf.side, search_size)
     return search, tf.to_crop(gt), tf
+
+
+def search_crop_transform(seq: Sequence, center: tuple[float, float], template_size: int,
+                          search_size: int) -> CropTransform:
+    """The transform of a search crop of ``seq`` centred on ``center``: the
+    first ground truth's context square scaled by search_size / template_size."""
+    side = context_side(seq.gt[0]) * (search_size / template_size)
+    return CropTransform(cx=center[0], cy=center[1], side=side, out_size=search_size)
 
 
 def crop_pair(seq: Sequence, index: int, template_size: int = 64, search_size: int = 128,
@@ -460,7 +470,14 @@ def import_sequence(in_dir: str) -> Sequence:
     a whole PPM with pixels, frames differ in shape, an annotation line is
     not a valid "frame x1 y1 x2 y2" box with finite corners, names a frame
     that does not exist or that its block already gave, a box block lacks
-    a frame's line or spec.txt does not hold a valid spec."""
+    a frame's line or spec.txt does not hold a valid spec.
+
+    A box corner more than ``BOX_REACH`` times the frame's longer side
+    outside the frame is rejected too: nothing of a tracking sequence lies
+    there, and such a box's extents, mapped into a crop, can overflow to
+    infinity (a corner at 1e308 does). Inside that reach every coordinate
+    the crop mappings compute stays within a few orders of magnitude of
+    the frame size."""
     names = sorted(n for n in os.listdir(in_dir) if n.startswith("frame_") and n.endswith(".ppm"))
     if not names:
         raise ValueError(f"no frames found in {in_dir}")
@@ -469,6 +486,8 @@ def import_sequence(in_dir: str) -> Sequence:
         if frame.shape != frames[0].shape:
             raise ValueError(f"{in_dir}: {name} has shape {frame.shape}, {names[0]} {frames[0].shape}")
 
+    h, w = frames[0].shape[1:]
+    reach = BOX_REACH * max(h, w)
     ann_path = os.path.join(in_dir, "annotations.txt")
     with open(ann_path) as f:
         lines = f.read().splitlines()
@@ -487,7 +506,11 @@ def import_sequence(in_dir: str) -> Sequence:
                 raise ValueError(f"frame {t} is outside 0..{len(frames) - 1}")
             if t in blocks[-1]:
                 raise ValueError(f"a second line for frame {t} in this block")
-            blocks[-1][t] = Box(*map(float, xyxy))
+            box = Box(*map(float, xyxy))
+            if min(box.x1, box.y1) < -reach or max(box.x2 - w, box.y2 - h) > reach:
+                raise ValueError(f"a box corner lies more than {BOX_REACH} frame sizes "
+                                 f"outside the {w}x{h} frame")
+            blocks[-1][t] = box
         except ValueError as e:
             raise ValueError(f"{ann_path}: line {lineno}: {e}") from None
     if not blocks:

@@ -181,6 +181,28 @@ class TestBadSequenceDirs:
         assert code == cli.EXIT_CONFIG
         _only_error_line(err, f"{ann}: line 4: a second line for frame 2 in this block")
 
+    @pytest.mark.parametrize("corner, ok", [({1: "-16000.0"}, True), ({1: "-16000.5"}, False),
+                                            ({2: "-16000.0"}, True), ({2: "-16000.5"}, False),
+                                            ({3: "16160.0"}, True), ({3: "16160.5"}, False),
+                                            ({4: "16160.0"}, True), ({4: "16160.5"}, False),
+                                            ({1: "-1e308", 3: "1e308"}, False)])
+    def test_annotation_box_beyond_reach(self, tmp_path, capsys, corner, ok):
+        # the frames are 160 px square: corners may lie up to 100 * 160 px
+        # outside them, in a distractor block too
+        def edit(lines):
+            fields = lines[7].split()
+            for i, value in corner.items():
+                fields[i] = value
+            lines[7] = " ".join(fields)
+        argv, ann = self.annotated(tmp_path, edit)
+        code, err = _eval_exit(capsys, argv)
+        if ok:
+            assert code == cli.EXIT_OK, err
+        else:
+            assert code == cli.EXIT_CONFIG
+            _only_error_line(err, f"{ann}: line 8: a box corner lies more than 100 frame "
+                                  "sizes outside the 160x160 frame")
+
     @pytest.mark.parametrize("frame", ["7", "-1", "5"])
     def test_frame_number_outside_the_sequence(self, tmp_path, capsys, frame):
         argv, ann = self.annotated(tmp_path,
@@ -284,6 +306,10 @@ CASE_TEXTS = {
 # how `eval`'s checkpoint, input.bin, is damaged: a weight set to a value, or
 # bytes appended
 DAMAGED_CHECKPOINTS = {"nan-weight": np.nan, "inf-weight": np.inf, "trailing-bytes": b"\0"}
+# `eval --seqs` reads one exported sequence whose target block has this line
+# for frame 2, in annotations.txt
+ANNOTATION_LINES = {"far-box": "2 -1e308 10.0 1e308 40.0"}
+ANNOTATIONS = Path("seqs") / "seq0" / "annotations.txt"
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
                               ("non-utf8", "codec can't decode"))] + [
@@ -303,6 +329,8 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("eval-nan-weight", cli.EXIT_CONFIG, "non-finite value in tensor 'cls2_b' of checkpoint"),
     ("eval-inf-weight", cli.EXIT_CONFIG, "non-finite value in tensor 'cls2_b' of checkpoint"),
     ("eval-trailing-bytes", cli.EXIT_CONFIG, "bytes after the last tensor, 'loc2_b', of checkpoint"),
+    ("eval-far-box", cli.EXIT_CONFIG,
+     "line 3: a box corner lies more than 100 frame sizes outside the 160x160 frame"),
     ("train-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("ablation-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("train-negative-rank-weight", cli.EXIT_CONFIG, "field 'w_rank_cls' must be non-negative"),
@@ -338,8 +366,8 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         return ["ablation", "--arms", *map(str, arms), "--out", str(out)]
     flag = "--spec" if command == "synth" else "--config"
     extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
-    if what in DAMAGED_CHECKPOINTS:
-        damage, ckpt = DAMAGED_CHECKPOINTS[what], tmp_path / "input.bin"
+    if what in DAMAGED_CHECKPOINTS or what in ANNOTATION_LINES:
+        damage, ckpt = DAMAGED_CHECKPOINTS.get(what), tmp_path / "input.bin"
         cfg = configio.from_kv(pipeline.TrainConfig, configio.parse_kv(TINY_CONFIG))
         mp = pipeline.init_params(cfg, SplitMix64(5))
         if isinstance(damage, float):
@@ -348,6 +376,14 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         if isinstance(damage, bytes):
             ckpt.write_bytes(ckpt.read_bytes() + damage)
         extra = ["--checkpoint", str(ckpt)]
+    if what in ANNOTATION_LINES:
+        ann = tmp_path / ANNOTATIONS
+        synthdata.export_sequence(synthdata.gen_sequence(synthdata.SequenceSpec(seed=3, frames=5)),
+                                  str(ann.parent))
+        lines = ann.read_text().split("\n")
+        lines[2] = ANNOTATION_LINES[what]
+        ann.write_text("\n".join(lines))
+        extra += ["--seqs", str(tmp_path / ANNOTATIONS.parts[0])]
     return [command, flag, str(path), "--out", str(out)] + extra
 
 
@@ -360,7 +396,9 @@ def test_exit_codes(tmp_path, capsys, case, code, text):
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and text in errors[0] and "Traceback" not in err, err
     if code == cli.EXIT_CONFIG and not case.endswith("three-arms"):
-        named = "input.bin" if case.split("-", 1)[1] in DAMAGED_CHECKPOINTS else "input.cfg"
+        what = case.split("-", 1)[1]
+        named = ("input.bin" if what in DAMAGED_CHECKPOINTS
+                 else ANNOTATIONS if what in ANNOTATION_LINES else "input.cfg")
         assert str(tmp_path / named) in errors[0], "the error names the input file"
     if code == cli.EXIT_DIVERGED:
         assert (tmp_path / "out" / "divergence.txt").read_text().startswith(

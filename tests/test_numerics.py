@@ -362,6 +362,35 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, 1.0)
         assert not np.signbit(y.grad).any()
 
+    def test_sink_replayed_in_order_matches_adding_on_arrival(self):
+        # The same two losses, backpropagated into sinks in the reverse order
+        # and replayed in loss order with leaf.grad + g, leave the bits of
+        # adding on arrival; the backward itself leaves the grads alone.
+        tiny = 2.0 ** -53
+
+        def losses_of(x, y):
+            l1 = nm.add(nm.sum_(nm.mul(x, 2.0)), nm.sum_(nm.mul(y, -0.0)))
+            l2 = nm.add(nm.sum_(nm.mul(x, 2.0 * tiny)), nm.sum_(nm.mul(x, 2.0 * tiny)))
+            return l1, l2
+
+        def leaves():
+            return (Tensor([0.25, -1.5, 3.0], requires_grad=True),
+                    Tensor([0.5, -2.0], requires_grad=True))
+
+        x, y = leaves()
+        for loss in losses_of(x, y):
+            backward(nm.mul(loss, 0.5))
+        xs, ys = leaves()
+        sinks = [[], []]
+        for sink, loss in reversed(list(zip(sinks, losses_of(xs, ys)))):
+            backward(nm.mul(loss, 0.5), sink)
+        assert not xs.grad.any() and not ys.grad.any()
+        assert [leaf for leaf, _ in sinks[1]] == [xs, xs]
+        for leaf, g in sinks[0] + sinks[1]:
+            leaf.grad = leaf.grad + g
+        assert xs.grad.tobytes() == x.grad.tobytes()
+        assert ys.grad.tobytes() == y.grad.tobytes()
+
     def test_second_backward_of_a_graph_raises(self):
         x = Tensor(3.0, requires_grad=True)
         loss = nm.mul(x, x)

@@ -1,6 +1,8 @@
 import hashlib
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import textwrap
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from ranktrack import numerics as nm
-from ranktrack import configio, pipeline, synthdata
+from ranktrack import cli, configio, pipeline, synthdata
 from ranktrack.configio import ConfigError
 from ranktrack.geometry import Box, assign_labels, iou
 from ranktrack.pipeline import (
@@ -238,8 +240,16 @@ class TestImageLoss:
         assert first._op == "conv2d" and first._parents[1] is mp.params["bb1_w"]
 
 
+def use_processes(monkeypatch, n: int) -> None:
+    """Make ``train`` see ``n`` usable CPUs, so it runs min(batch_size, n)
+    processes."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+
+
 class TestTrainLoop:
-    def test_same_seed_bit_identical(self):
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_same_seed_bit_identical(self, monkeypatch, procs):
+        use_processes(monkeypatch, procs)
         cfg = quick_config(iterations=12, train_sequences=2, frames_per_sequence=3,
                            batch_size=2)
         r1 = train(cfg)
@@ -333,9 +343,11 @@ def batch_mean_train(cfg: TrainConfig) -> tuple[ModelParams, list[LogRow], list[
 
 
 class TestPerSampleBackward:
-    def test_short_batches_match_the_batch_mean_loop(self):
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_short_batches_match_the_batch_mean_loop(self, monkeypatch, procs):
         # a jitter of up to 110 px moves most search crops off the target,
         # so many iterations run out of draws with fewer than 4 samples
+        use_processes(monkeypatch, procs)
         cfg = quick_config(seed=9, shift_aug=110.0, iterations=8, train_sequences=3,
                            frames_per_sequence=3, rank_cls=True, rank_iou=True)
         ref_params, ref_log, sizes = batch_mean_train(cfg)
@@ -354,25 +366,25 @@ class TestPerSampleBackward:
         assert exc.value.snapshot["iteration"] == 0
 
     @pytest.mark.parametrize("preset, most", [({}, 4), (PAPER_PRESET, 16)])
-    def test_largest_positive_count_of_training_draws(self, monkeypatch, preset, most):
+    def test_largest_positive_count_of_training_draws(self, preset, most):
         # The rank losses once subsampled the positives of a sample beyond
         # 256 before pairing them; training draws come nowhere near that.
-        # Pixels do not decide the labels, so the crops are skipped.
-        monkeypatch.setattr(synthdata, "crop_window", lambda *args: None)
         cfg = quick_config(**preset)
         pool = pipeline.training_pool(cfg)
         grid = head_grid(cfg)
         sampler = SplitMix64(cfg.seed).spawn(pipeline._DOM_SAMPLER)
         counts = [assign_labels(grid, gt).n_pos
                   for _ in range(750)
-                  for _, _, gt in pipeline._draw_batch(cfg, pool, sampler, grid)]
+                  for _, _, _, gt in pipeline._draw_batch(cfg, pool, sampler, grid)]
         assert len(counts) == 3000
         assert max(counts) == most
 
-    def test_paper_training_traces_at_most_64_mib(self):
+    def test_paper_training_traces_at_most_64_mib(self, monkeypatch):
         # One sample's graph is alive at a time. Recording the four graphs of
         # a batch before one backward, and keeping them until the next
-        # batch's forwards were done, peaked at 107.2 MiB.
+        # batch's forwards were done, peaked at 107.2 MiB. One process runs
+        # every sample, so tracemalloc sees all of them.
+        use_processes(monkeypatch, 1)
         cfg = quick_config(iterations=3, rank_cls=True, rank_iou=True, **PAPER_PRESET)
         pool = pipeline.training_pool(cfg)
         tracemalloc.start()
@@ -383,6 +395,35 @@ class TestPerSampleBackward:
             tracemalloc.stop()
         assert peak <= 64 * 2**20, f"training peaked at {peak / 2**20:.1f} MiB"
 
+    @staticmethod
+    def minor_faults(procs: int, iterations: list[int]) -> list[int]:
+        """Minor page faults of this process and its joined children over
+        127/255 ``pw`` training calls of ``iterations`` each, run in a fresh
+        interpreter at ``procs`` processes after a 3-iteration warm-up."""
+        script = textwrap.dedent(f"""
+            import dataclasses, resource
+            from conftest import quick_config
+            from ranktrack import pipeline
+            pipeline._usable_cpus = lambda: {procs}
+            cfg = quick_config(template_size=127, search_size=255, corr_mode="pw",
+                               iterations=3, rank_cls=True, rank_iou=True)
+            pool = pipeline.training_pool(cfg)
+            pipeline.train(cfg, pool)
+            def faults():
+                return sum(resource.getrusage(who).ru_minflt
+                           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+            for n in {iterations}:
+                before = faults()
+                pipeline.train(dataclasses.replace(cfg, iterations=n), pool)
+                print(faults() - before)
+        """)
+        tests_dir = Path(__file__).resolve().parent
+        path = [str(tests_dir.parent / "src"), str(tests_dir)]
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=300, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+        return [int(line) for line in out.stdout.split()]
+
     @pytest.mark.skipif(not sys.platform.startswith("linux")
                         or platform.libc_ver()[0] != "glibc",
                         reason="page-fault counts and heap thresholds are glibc's")
@@ -391,25 +432,182 @@ class TestPerSampleBackward:
         # it back in: 10 iterations took 242-295 thousand minor faults
         # without the heap thresholds set in ranktrack.numerics, and 8.3-9.4
         # thousand when a batch's graphs were freed together.
-        script = textwrap.dedent("""
-            import dataclasses, resource
-            from conftest import quick_config
-            from ranktrack import pipeline
-            cfg = quick_config(template_size=127, search_size=255, corr_mode="pw",
-                               iterations=3, rank_cls=True, rank_iou=True)
-            pool = pipeline.training_pool(cfg)
-            pipeline.train(cfg, pool)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            pipeline.train(dataclasses.replace(cfg, iterations=10), pool)
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        """)
-        tests_dir = Path(__file__).resolve().parent
-        path = [str(tests_dir.parent / "src"), str(tests_dir)]
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             timeout=300, check=True,
-                             env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
-        faults = int(out.stdout.split()[-1])
+        (faults,) = self.minor_faults(1, [10])
         assert faults < 2000, f"{faults} minor page faults in 10 iterations"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux")
+                        or platform.libc_ver()[0] != "glibc",
+                        reason="page-fault counts and heap thresholds are glibc's")
+    def test_paper_training_reuses_freed_heap_in_every_process(self):
+        # With a worker, each call pays a one-time cost: after the fork,
+        # the first write of either process to a page they share faults once
+        # (copy on write), about 7 thousand faults in each process, whatever
+        # the iteration count. Ten more iterations must add no more than the
+        # bound above: each process reuses its freed heap from sample to
+        # sample.
+        ten, twenty = self.minor_faults(2, [10, 20])
+        assert twenty - ten < 2000, f"{ten} minor page faults in 10 iterations, {twenty} in 20"
+
+
+class TestWorkers:
+    """``train`` spreads a batch's samples over min(batch_size, usable CPUs)
+    processes and gives the bits of one process."""
+
+    CASES = {
+        "dw-cr-igr": dict(iterations=6, rank_cls=True, rank_iou=True),
+        "paper-pw-cr-igr": dict(iterations=3, rank_cls=True, rank_iou=True, **PAPER_PRESET),
+        # short batches: most draws miss the target
+        "dw-jitter-110": dict(seed=9, shift_aug=110.0, iterations=8, train_sequences=3,
+                              frames_per_sequence=3, rank_cls=True, rank_iou=True),
+    }
+
+    @staticmethod
+    def trained_bytes(monkeypatch, tmp_path, cfg, procs) -> tuple[bytes, str, bytes]:
+        use_processes(monkeypatch, procs)
+        result = train(cfg)
+        assert multiprocessing.active_children() == []
+        path = tmp_path / f"runlog{procs}.csv"
+        pipeline.write_run_log(result.log, str(path))
+        params = b"".join(t.data.tobytes() for _, t in result.params.leaves())
+        return params, log_digest(result.log), path.read_bytes()
+
+    # four processes: three workers, more than a 2-CPU machine has cores
+    @pytest.mark.parametrize("case, procs", [(c, 2) for c in CASES] + [("dw-cr-igr", 4)])
+    def test_process_count_changes_no_byte(self, monkeypatch, tmp_path, case, procs):
+        cfg = quick_config(**self.CASES[case])
+        one = self.trained_bytes(monkeypatch, tmp_path, cfg, 1)
+        assert self.trained_bytes(monkeypatch, tmp_path, cfg, procs) == one
+
+    @pytest.mark.parametrize("batch_size, cpus, workers", [(2, 8, 1), (4, 3, 2), (4, 1, 0)])
+    def test_worker_count_is_capped_by_batch_and_cpus(self, monkeypatch, batch_size, cpus,
+                                                      workers):
+        started = []
+
+        class CountedProcess(multiprocessing.context.ForkProcess):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(multiprocessing.context.ForkContext, "Process", CountedProcess)
+        use_processes(monkeypatch, cpus)
+        train(quick_config(iterations=2, batch_size=batch_size))
+        assert len(started) == workers
+        assert multiprocessing.active_children() == []
+
+    def test_usable_cpus_follow_the_affinity_mask(self):
+        assert 1 <= pipeline._usable_cpus() <= len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("procs", [1, 2])
+    def test_one_crop_per_accepted_sample_and_template(self, monkeypatch, procs):
+        # counters in shared memory, so that forked workers count too
+        ctx = multiprocessing.get_context("fork")
+        crops, losses = ctx.Value("i", 0), ctx.Value("i", 0)
+
+        def counted(fn, counter):
+            def wrapper(*args, **kwargs):
+                with counter.get_lock():
+                    counter.value += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(synthdata, "crop_window", counted(synthdata.crop_window, crops))
+        monkeypatch.setattr(pipeline, "image_loss", counted(pipeline.image_loss, losses))
+        use_processes(monkeypatch, procs)
+        cfg = quick_config(**self.CASES["dw-jitter-110"])
+        train(cfg)
+        # 8 iterations of at most 4 accepted draws, many draws rejected
+        assert 8 <= losses.value < 32
+        assert crops.value == losses.value + cfg.train_sequences
+
+    @staticmethod
+    def poisoned(slots: dict[int, str], it: int = 1):
+        """An ``image_loss`` that raises NonFiniteError with the given text for
+        the given slots of iteration ``it`` of the dw-cr-igr case, recognised
+        by their ground truth."""
+        cfg = quick_config(**TestWorkers.CASES["dw-cr-igr"])
+        pool = pipeline.training_pool(cfg)
+        sampler = SplitMix64(cfg.seed).spawn(pipeline._DOM_SAMPLER)
+        grid = head_grid(cfg)
+        for _ in range(it + 1):
+            batch = pipeline._draw_batch(cfg, pool, sampler, grid)
+        texts = {batch[slot][3]: text for slot, text in slots.items()}
+        image_loss = pipeline.image_loss
+
+        def poisoned_loss(cfg, mp, template, search, gt, grid):
+            if gt in texts:
+                raise nm.NonFiniteError(texts[gt])
+            return image_loss(cfg, mp, template, search, gt, grid)
+        return cfg, poisoned_loss
+
+    @pytest.mark.parametrize("slots, first", [({1: "in slot 1"}, 1),
+                                              ({1: "in slot 1", 2: "in slot 2"}, 1),
+                                              ({0: "in slot 0", 1: "in slot 1"}, 0)])
+    def test_non_finite_loss_fails_as_in_one_process(self, monkeypatch, tmp_path, capsys,
+                                                     slots, first):
+        # slot 1 runs on the worker and slots 0 and 2 here at two processes;
+        # the lowest failing slot decides the error either way
+        cfg, poisoned_loss = self.poisoned(slots)
+        monkeypatch.setattr(pipeline, "image_loss", poisoned_loss)
+        cfg_path = tmp_path / "train.cfg"
+        cfg_path.write_text(configio.format_kv(cfg.to_kv()))
+        outcomes = []
+        for procs in (1, 2):
+            use_processes(monkeypatch, procs)
+            out = tmp_path / f"run{procs}"
+            code = cli.main(["train", "--config", str(cfg_path), "--out", str(out)])
+            assert multiprocessing.active_children() == []
+            outcomes.append((code, capsys.readouterr().err.replace(str(out), "OUT"),
+                             (out / "divergence.txt").read_text()))
+        assert outcomes[0] == outcomes[1]
+        code, err, report = outcomes[0]
+        assert code == cli.EXIT_DIVERGED
+        assert f"non-finite loss at iteration 1: {slots[first]}" in err
+        assert report.startswith(f"non-finite loss at iteration 1: {slots[first]}")
+
+    def test_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+        run_slots = pipeline._run_slots
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_slots(*args)
+
+        def timeout(signum, frame):
+            raise TimeoutError("train did not notice its dead worker")
+
+        monkeypatch.setattr(pipeline, "_run_slots", dying)
+        use_processes(monkeypatch, 2)
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match=r"training worker \(pid \d+\) died .*"
+                                                   r"exit code -9"):
+                train(quick_config(iterations=3))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_ignores_sigint(self, monkeypatch, tmp_path):
+        # an interrupt meant for the parent (a terminal's Ctrl-C reaches the
+        # whole process group) does not stop a worker
+        parent = os.getpid()
+        run_slots = pipeline._run_slots
+        sent = []
+
+        def interrupting(*args):
+            if os.getpid() == parent and not sent:
+                (worker,) = multiprocessing.active_children()
+                os.kill(worker.pid, signal.SIGINT)
+                sent.append(worker.pid)
+            return run_slots(*args)
+
+        cfg = quick_config(iterations=4)
+        want = self.trained_bytes(monkeypatch, tmp_path, cfg, 1)
+        monkeypatch.setattr(pipeline, "_run_slots", interrupting)
+        assert self.trained_bytes(monkeypatch, tmp_path, cfg, 2) == want
+        assert len(sent) == 1
 
 
 class TestCheckpoint:
