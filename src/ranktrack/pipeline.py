@@ -435,7 +435,8 @@ def _worker(conn, parent_ends: list, cfg: TrainConfig, mp: ModelParams,
     """A forked training worker. For each message (the parameter arrays, the
     scale and its slots) it replies with ``_run_slots``' result. It exits
     when the pipe reaches EOF and leaves SIGINT to the parent."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # blocked until now, see train
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     for end in parent_ends:   # or a closed parent end would not reach EOF here
         end.close()
     leaves = [t for _, t in mp.leaves()]
@@ -516,7 +517,13 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
             here, there = ctx.Pipe()
             ends.append(here)
             proc = ctx.Process(target=_worker, args=(there, ends, cfg, mp, pool, templates, grid))
-            proc.start()
+            # the worker starts with SIGINT blocked, so an interrupt cannot
+            # reach it before it ignores SIGINT
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                proc.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             there.close()
             workers.append((proc, here))
 

@@ -590,24 +590,19 @@ class TestWorkers:
         assert multiprocessing.active_children() == []
 
     def test_worker_ignores_sigint(self, monkeypatch, tmp_path):
-        # an interrupt meant for the parent (a terminal's Ctrl-C reaches the
-        # whole process group) does not stop a worker
-        parent = os.getpid()
-        run_slots = pipeline._run_slots
-        sent = []
+        # An interrupt meant for the parent (a terminal's Ctrl-C reaches the
+        # whole process group) does not stop a worker, even one that has
+        # not yet reached its first line: here it arrives before that line.
+        worker = pipeline._worker
 
-        def interrupting(*args):
-            if os.getpid() == parent and not sent:
-                (worker,) = multiprocessing.active_children()
-                os.kill(worker.pid, signal.SIGINT)
-                sent.append(worker.pid)
-            return run_slots(*args)
+        def interrupted_worker(*args):
+            os.kill(os.getpid(), signal.SIGINT)
+            worker(*args)
 
         cfg = quick_config(iterations=4)
         want = self.trained_bytes(monkeypatch, tmp_path, cfg, 1)
-        monkeypatch.setattr(pipeline, "_run_slots", interrupting)
+        monkeypatch.setattr(pipeline, "_worker", interrupted_worker)
         assert self.trained_bytes(monkeypatch, tmp_path, cfg, 2) == want
-        assert len(sent) == 1
 
 
 class TestCheckpoint:
