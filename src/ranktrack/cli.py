@@ -167,8 +167,12 @@ def cmd_ablation(args) -> int:
                 for name, path in zip(evalharness.ARM_ORDER, args.arms)}
     arm_cfgs = {name: cfg for name, (_, cfg) in arms.items()}
     base = arm_cfgs["baseline"]
-    if any((cfg.seed, cfg.eval_seed) != (base.seed, base.eval_seed) for cfg in arm_cfgs.values()):
-        raise ConfigError("ablation arms must share seed and eval_seed")
+    # every arm is evaluated on the baseline's eval pool
+    for path, cfg in zip(args.arms, arm_cfgs.values()):
+        for key in ("seed",) + pipeline.EVAL_POOL_FIELDS:
+            if getattr(cfg, key) != getattr(base, key):
+                raise ConfigError(f"{path}: {key} = {getattr(cfg, key)}, the baseline's is "
+                                  f"{getattr(base, key)}; the arms must share seed and eval pool")
     os.makedirs(args.out, exist_ok=True)
 
     reports = {}

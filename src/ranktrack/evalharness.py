@@ -106,7 +106,7 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
     """Ground-truth-anchored scoring diagnostics for one sequence."""
     grid = pipeline.head_grid(cfg)
     px, py = grid.pixel_xy()
-    template = pipeline.embed_template(mp, synthdata.crop_template(seq, cfg.template_size))
+    template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
     consistent, margins, taus = [], [], []
 
     for t in range(len(seq)):
@@ -114,8 +114,9 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         if cfg.eval_jitter > 0:
             cx += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
             cy += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
-        search, gt_s, tf = synthdata.crop_search(
-            seq, t, cfg.template_size, cfg.search_size, search_center=(cx, cy))
+        tf = synthdata.context_crop(seq.gt[0], (cx, cy), cfg.search_size / cfg.template_size,
+                                    cfg.search_size)
+        search, gt_s = tf.crop(seq.frames[t]), tf.to_crop(seq.gt[t])
         a_cls, a_loc = pipeline.forward(mp, template, search)
         probs = nm.softmax(a_cls).data[1]
 

@@ -131,19 +131,18 @@ class TrainConfig:
         return configio.to_kv(self)
 
 
+# the config fields that every pool's sequences share, by their SequenceSpec names
+SCENE_FIELDS = ("image_size", "target_size", "distractors", "similarity", "clutter",
+                "motion_sigma")
+# every config field that ``eval_pool`` reads
+EVAL_POOL_FIELDS = ("eval_seed", "eval_sequences", "eval_frames") + SCENE_FIELDS
+
+
 def _sequence_spec(cfg: TrainConfig, seed: int, i: int, frames: int) -> synthdata.SequenceSpec:
     """The i-th sequence of a pool: the config's scene, shape families in turn."""
     return synthdata.SequenceSpec(
-        seed=seed,
-        frames=frames,
-        image_size=cfg.image_size,
-        shape=synthdata.SHAPE_FAMILIES[i % len(synthdata.SHAPE_FAMILIES)],
-        target_size=cfg.target_size,
-        distractors=cfg.distractors,
-        similarity=cfg.similarity,
-        clutter=cfg.clutter,
-        motion_sigma=cfg.motion_sigma,
-    )
+        seed=seed, frames=frames, shape=synthdata.SHAPE_FAMILIES[i % len(synthdata.SHAPE_FAMILIES)],
+        **{name: getattr(cfg, name) for name in SCENE_FIELDS})
 
 
 def feature_extent(n: int) -> int:
@@ -208,7 +207,9 @@ def init_params(cfg: TrainConfig, rng: SplitMix64) -> ModelParams:
     return mp
 
 
-def _backbone(mp: ModelParams, raster: np.ndarray) -> Tensor:
+def embed(mp: ModelParams, raster: np.ndarray) -> Tensor:
+    """Backbone features of a raster. A template's are reused across the
+    ``forward`` calls that match it against many search crops."""
     # rasters live in [0, 1]; center them so early conv outputs are not
     # swamped by the DC component
     x = Tensor(raster - 0.5)
@@ -222,30 +223,17 @@ def _head(mp: ModelParams, name: str, s: Tensor) -> Tensor:
     return nm.conv2d(h, mp.params[f"{name}2_w"], bias=mp.params[f"{name}2_b"])
 
 
-def _check_channels(mp: ModelParams, raster: np.ndarray) -> None:
-    if raster.shape[0] != mp.in_channels:
-        raise ValueError("raster channel count does not match the model")
-
-
-def embed_template(mp: ModelParams, template: np.ndarray) -> Tensor:
-    """Backbone features of a template raster, for reuse across ``forward``
-    calls that match the same template against many search crops."""
-    _check_channels(mp, template)
-    return _backbone(mp, template)
-
-
 def forward(mp: ModelParams, template: np.ndarray | Tensor, search: np.ndarray,
             ) -> tuple[Tensor, Tensor]:
     """Class logits (2, G, G) and positive side offsets (4, G, G) in pixels.
 
-    ``template`` is a raster or its features from ``embed_template``; the
-    two give the same bits. Offsets are stride * exp(raw), so decoded boxes
-    always have non-negative extents and a zero raw output means one
-    stride unit; class logits are softmaxed by consumers.
+    ``template`` is a raster or its features from ``embed``; the two give
+    the same bits. Offsets are stride * exp(raw), so decoded boxes always
+    have non-negative extents and a zero raw output means one stride unit;
+    class logits are softmaxed by consumers.
     """
-    _check_channels(mp, search)
-    fz = template if isinstance(template, Tensor) else embed_template(mp, template)
-    fx = _backbone(mp, search)
+    fz = template if isinstance(template, Tensor) else embed(mp, template)
+    fx = embed(mp, search)
     if mp.corr_mode == "dw":
         sim = correlation.dw_corr(fz, fx)
     else:
@@ -353,7 +341,8 @@ def training_pool(cfg: TrainConfig) -> list[synthdata.Sequence]:
 
 
 def eval_pool(cfg: TrainConfig) -> list[synthdata.Sequence]:
-    """Held-out sequences; seeded independently of the training pool."""
+    """Held-out sequences, seeded independently of the training pool; a
+    function of ``cfg``'s ``EVAL_POOL_FIELDS`` alone."""
     return _pool(cfg, cfg.eval_seed, _DOM_EVAL_DATA, cfg.eval_sequences, cfg.eval_frames)
 
 
@@ -386,7 +375,8 @@ def _draw_batch(cfg: TrainConfig, pool: list[synthdata.Sequence], sampler: Split
         if cfg.shift_aug > 0:
             cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
             cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-        tf = synthdata.search_crop_transform(seq, (cx, cy), cfg.template_size, cfg.search_size)
+        tf = synthdata.context_crop(seq.gt[0], (cx, cy), cfg.search_size / cfg.template_size,
+                                    cfg.search_size)
         gt_s = tf.to_crop(seq.gt[idx])
         if assign_labels(grid, gt_s).n_pos > 0:
             batch.append((k, idx, tf, gt_s))
@@ -417,8 +407,7 @@ def _run_slots(cfg: TrainConfig, mp: ModelParams, pool: list[synthdata.Sequence]
     done = []
     for slot, (k, idx, tf, gt_s) in slots:
         try:
-            search = synthdata.crop_window(pool[k].frames[idx], tf.cx, tf.cy, tf.side,
-                                           tf.out_size)
+            search = tf.crop(pool[k].frames[idx])
             breakdown, margin = image_loss(cfg, mp, templates[k], search, gt_s, grid)
             del search
             sink: list = []
@@ -482,9 +471,9 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
     and gradient contributions. With one usable CPU there are no workers.
     The worker count changes no bit of the result. Every worker is joined
     before ``train`` returns or raises; a worker that dies raises
-    RuntimeError. Python 3.12 and later warn (DeprecationWarning) when a
-    process that runs threads forks, and numpy's OpenBLAS may have started
-    threads at import.
+    RuntimeError. Python 3.12 and later warn when a process that runs
+    threads forks; importing numpy can leave an idle OpenBLAS thread, but
+    OpenBLAS stops it before a fork, so this process forks with one thread.
 
     Identical config (seed included) reproduces the final parameters bit
     for bit. Raises DivergenceError with a diagnostic snapshot when any
@@ -683,28 +672,20 @@ def check_params(mp: ModelParams, cfg: TrainConfig) -> None:
 
 # -- tracking ---------------------------------------------------------------------
 
-def search_transform(prev: Box, cfg: TrainConfig) -> synthdata.CropTransform:
-    """Search crop for one tracking step: centered on the previous box, its
-    context square scaled by search_size / template_size."""
-    cx, cy = prev.center
-    side = synthdata.context_side(prev) * (cfg.search_size / cfg.template_size)
-    return synthdata.CropTransform(cx=cx, cy=cy, side=side, out_size=cfg.search_size)
-
-
 def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray,
                prev: Box, cfg: TrainConfig) -> tuple[tuple[int, int], Box]:
     """One tracking step: search ``frame`` around ``prev`` and pick the
     grid cell with the highest foreground probability, as described in
-    ``track``. ``template`` is the template raster or its
-    ``embed_template`` features.
+    ``track``. ``template`` is the template raster or its ``embed`` features.
 
     Returns the chosen grid cell (row, col) and its decoded box in image
     coordinates, clamped to the frame; a degenerate box is replaced by
     ``prev``.
     """
     grid = head_grid(cfg)
-    tf = search_transform(prev, cfg)
-    search = synthdata.crop_window(frame, tf.cx, tf.cy, tf.side, cfg.search_size)
+    tf = synthdata.context_crop(prev, prev.center, cfg.search_size / cfg.template_size,
+                                cfg.search_size)
+    search = tf.crop(frame)
 
     a_cls, a_loc = forward(mp, template, search)
     probs = nm.softmax(a_cls).data[1]
@@ -731,7 +712,7 @@ def track(mp: ModelParams, seq: synthdata.Sequence, cfg: TrainConfig) -> list[Bo
     template features are computed once per sequence, so a frame costs
     one search crop and one search forward.
     """
-    template = embed_template(mp, synthdata.crop_template(seq, cfg.template_size))
+    template = embed(mp, synthdata.crop_template(seq, cfg.template_size))
     preds = [seq.gt[0]]
     for t in range(1, len(seq)):
         _, box = track_step(mp, template, seq.frames[t], preds[-1], cfg)

@@ -24,6 +24,13 @@ earlier one where they overlap.
 A generated frame is mostly flat background, so ``PaintedFrames`` keeps
 its colour plus each painted object's window, about a seventh of the
 dense raster, and rebuilds the painted bytes on every read.
+
+Every crop follows one rule, ``context_crop``: SiamFC's context square of
+a w x h box, side sqrt((w + m) * (h + m)) with m = 0.5 * (w + h), times
+search_size / template_size for a search region. The template and the
+training and scoring search crops take frame 0's box (CHANGES.md's CLOSED
+note on crop scales: generated targets keep their size); tracking takes
+the previous prediction, around its own centre.
 """
 
 from __future__ import annotations
@@ -298,11 +305,18 @@ class CropTransform:
         return Box(box.x1 / self.scale + x0, box.y1 / self.scale + y0,
                    box.x2 / self.scale + x0, box.y2 / self.scale + y0)
 
+    def crop(self, frame: np.ndarray) -> np.ndarray:
+        """The (C, out_size, out_size) crop of ``frame`` that this maps to."""
+        return crop_window(frame, self.cx, self.cy, self.side, self.out_size)
 
-def context_side(box: Box) -> float:
-    """Square crop side with additive context margin 0.5 * (w + h)."""
+
+def context_crop(box: Box, center: tuple[float, float], scale: float,
+                 out_size: int) -> CropTransform:
+    """The square crop, resized to ``out_size``, centred on ``center`` with
+    ``scale`` times the side of ``box``'s context square."""
     m = 0.5 * (box.width + box.height)
-    return float(np.sqrt((box.width + m) * (box.height + m)))
+    side = float(np.sqrt((box.width + m) * (box.height + m))) * scale
+    return CropTransform(cx=center[0], cy=center[1], side=side, out_size=out_size)
 
 
 def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
@@ -360,53 +374,21 @@ def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
 
 
 def crop_template(seq: Sequence, template_size: int = 64) -> np.ndarray:
-    """Frame-0 crop centered on the first ground truth, with a 0.5*(w+h)
-    context margin."""
+    """Frame 0's crop of the first ground truth's context square."""
     gt0 = seq.gt[0]
-    cx, cy = gt0.center
-    return crop_window(seq.frames[0], cx, cy, context_side(gt0), template_size)
-
-
-def crop_search(seq: Sequence, index: int, template_size: int = 64,
-                search_size: int = 128, search_center: tuple[float, float] | None = None,
-                ) -> tuple[np.ndarray, Box, CropTransform]:
-    """Search crop of frame ``index`` for ``crop_pair``, without the template.
-
-    Returns the raster, the ground truth mapped into search coordinates,
-    and the search transform.
-    """
-    if not (0 <= index < len(seq)):
-        raise IndexError("frame index out of range")
-    gt = seq.gt[index]
-    center = search_center if search_center is not None else gt.center
-    tf = search_crop_transform(seq, center, template_size, search_size)
-    search = crop_window(seq.frames[index], tf.cx, tf.cy, tf.side, search_size)
-    return search, tf.to_crop(gt), tf
-
-
-def search_crop_transform(seq: Sequence, center: tuple[float, float], template_size: int,
-                          search_size: int) -> CropTransform:
-    """The transform of a search crop of ``seq`` centred on ``center``: the
-    first ground truth's context square scaled by search_size / template_size."""
-    side = context_side(seq.gt[0]) * (search_size / template_size)
-    return CropTransform(cx=center[0], cy=center[1], side=side, out_size=search_size)
+    return context_crop(gt0, gt0.center, 1.0, template_size).crop(seq.frames[0])
 
 
 def crop_pair(seq: Sequence, index: int, template_size: int = 64, search_size: int = 128,
               ) -> tuple[np.ndarray, np.ndarray, Box, CropTransform]:
-    """Template (frame 0) and search (frame ``index``) crops.
-
-    The template is centered on the first-frame target with a 0.5*(w+h)
-    context margin; the search covers the same physical extent scaled by
-    search_size/template_size, centered on the current target. Returns
-    the two rasters, the ground truth mapped into search coordinates,
-    and the search transform. The template depends only on the sequence,
-    so callers that crop many frames of one sequence take it once from
-    ``crop_template`` and the rest from ``crop_search``, which also takes
-    a ``search_center`` (training jitter, scoring at a drifted center).
-    """
-    search, gt_s, tf = crop_search(seq, index, template_size, search_size)
-    return crop_template(seq, template_size), search, gt_s, tf
+    """Template (frame 0) and search (frame ``index``, centred on its target)
+    crops, the ground truth mapped into search coordinates, and the search
+    transform."""
+    if not (0 <= index < len(seq)):   # a negative index would wrap to a frame from the end
+        raise IndexError("frame index out of range")
+    gt = seq.gt[index]
+    tf = context_crop(seq.gt[0], gt.center, search_size / template_size, search_size)
+    return crop_template(seq, template_size), tf.crop(seq.frames[index]), tf.to_crop(gt), tf
 
 
 # -- export / import -----------------------------------------------------------

@@ -302,6 +302,11 @@ CASE_TEXTS = {
     "negative-rank-weight": TINY_CONFIG + "rank_cls = true\nw_rank_cls = -0.5\n",
     "tau-neg-one": TINY_CONFIG + "rank_cls = true\ntau_neg = 1\n",
     "momentum-one": TINY_CONFIG + "momentum = 1\n",
+    "other-eval-pool": TINY_CONFIG.replace("eval_sequences = 1\neval_frames = 2",
+                                           "eval_sequences = 3\neval_frames = 5")
+                       + "similarity = 0.5\n",
+    "other-scene": TINY_CONFIG + "similarity = 0.5\n",
+    "other-seed": TINY_CONFIG + "seed = 8\n",
 }
 # how `eval`'s checkpoint, input.bin, is damaged: a weight set to a value, or
 # bytes appended
@@ -338,6 +343,10 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("ablation-tau-neg-one", cli.EXIT_CONFIG, "field 'tau_neg' must be less than 1"),
     ("train-momentum-one", cli.EXIT_CONFIG, "field 'momentum' must be less than 1"),
     ("ablation-three-arms", cli.EXIT_CONFIG, "exactly 4 arm configs"),
+    ("ablation-other-eval-pool", cli.EXIT_CONFIG,
+     "eval_sequences = 3, the baseline's is 1; the arms must share seed and eval pool"),
+    ("ablation-other-scene", cli.EXIT_CONFIG, "similarity = 0.5, the baseline's is 0.85"),
+    ("ablation-other-seed", cli.EXIT_CONFIG, "seed = 8, the baseline's is 7"),
     ("synth-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("ablation-out-under-file", cli.EXIT_IO, "Not a directory"),

@@ -96,6 +96,20 @@ class TestConfig:
         quick_config(**{field: value})
 
 
+def test_eval_pool_reads_exactly_its_fields():
+    cfg = quick_config(eval_sequences=2, eval_frames=1)
+    read = set()
+
+    class Recorder:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(cfg, name)
+
+    assert [s.gt for s in pipeline.eval_pool(Recorder())] == \
+        [s.gt for s in pipeline.eval_pool(cfg)]
+    assert read == set(pipeline.EVAL_POOL_FIELDS)
+
+
 class TestModelShapes:
     def test_feature_extent_halves_three_times(self):
         assert feature_extent(64) == 8
@@ -132,16 +146,18 @@ class TestModelShapes:
         t = rng.uniform(0, 1, (3, 64, 64))
         s = rng.uniform(0, 1, (3, 128, 128))
         from ranktrack import correlation
-        fz = pipeline._backbone(mp, t)
-        fx = pipeline._backbone(mp, s)
+        fz = pipeline.embed(mp, t)
+        fx = pipeline.embed(mp, s)
         sim = correlation.pw_corr(fz, fx)
         np.testing.assert_array_equal(sim.data[:32], fx.data)
 
     def test_raster_channel_mismatch(self):
         cfg = quick_config()
         mp = init_params(cfg, SplitMix64(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="conv2d channel mismatch: input 1, kernels 3"):
             forward(mp, np.zeros((1, 64, 64)), np.zeros((1, 128, 128)))
+        with pytest.raises(ValueError, match="conv2d channel mismatch: input 1, kernels 3"):
+            forward(mp, np.zeros((3, 64, 64)), np.zeros((1, 128, 128)))
 
     def test_init_is_fan_in_bounded(self):
         cfg = quick_config()
@@ -234,7 +250,7 @@ class TestImageLoss:
 
     def test_raster_is_not_kept_by_the_graph(self):
         cfg, mp, t, _, _ = self.setup_model()
-        first = pipeline._backbone(mp, t)
+        first = pipeline.embed(mp, t)
         while first._parents[0] is not None:
             first = first._parents[0]
         assert first._op == "conv2d" and first._parents[1] is mp.params["bb1_w"]
@@ -313,9 +329,10 @@ def batch_mean_train(cfg: TrainConfig) -> tuple[ModelParams, list[LogRow], list[
             cx, cy = seq.gt[idx].center
             cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
             cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-            search, gt_s, _ = synthdata.crop_search(
-                seq, idx, cfg.template_size, cfg.search_size, search_center=(cx, cy))
-            result = image_loss(cfg, mp, templates[k], search, gt_s, grid)
+            tf = synthdata.context_crop(seq.gt[0], (cx, cy), cfg.search_size / cfg.template_size,
+                                        cfg.search_size)
+            result = image_loss(cfg, mp, templates[k], tf.crop(seq.frames[idx]),
+                                tf.to_crop(seq.gt[idx]), grid)
             if result is not None:
                 parts.append(result[0])
                 if result[1] is not None:
@@ -494,6 +511,37 @@ class TestWorkers:
         assert len(started) == workers
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                        reason="reads the thread count from /proc/self/stat")
+    def test_workers_fork_a_single_threaded_process(self):
+        # Python 3.12 and later warn when a process that runs threads forks.
+        # Without OPENBLAS_NUM_THREADS, importing numpy can leave an idle
+        # OpenBLAS thread, which OpenBLAS stops before a fork.
+        script = textwrap.dedent("""
+            import multiprocessing.context
+            from conftest import quick_config
+            from ranktrack import pipeline
+            def threads():
+                with open("/proc/self/stat") as f:   # field 20, after the ")" of comm
+                    return int(f.read().rsplit(")", 1)[1].split()[17])
+            start = multiprocessing.context.ForkProcess.start
+            def start_and_count(self):
+                start(self)
+                print(threads())
+            multiprocessing.context.ForkProcess.start = start_and_count
+            pipeline._usable_cpus = lambda: 3
+            for _ in range(2):
+                pipeline.train(quick_config(iterations=2, train_sequences=2,
+                                            frames_per_sequence=3))
+        """)
+        tests_dir = Path(__file__).resolve().parent
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)])
+        out = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True,
+                             text=True, timeout=300, check=True, env=env)
+        # two calls, each forking two workers
+        assert [int(line) for line in out.stdout.split()] == [1, 1, 1, 1]
+
     def test_usable_cpus_follow_the_affinity_mask(self):
         assert 1 <= pipeline._usable_cpus() <= len(os.sched_getaffinity(0))
 
@@ -654,7 +702,7 @@ class TestTrack:
         cfg, result = trained_baseline
         t, s, _, _ = synthdata.crop_pair(pipeline.eval_pool(cfg)[0], 2,
                                          cfg.template_size, cfg.search_size)
-        fz = pipeline.embed_template(result.params, t)
+        fz = pipeline.embed(result.params, t)
         for got, want in zip(forward(result.params, fz, s), forward(result.params, t, s)):
             assert got.data.tobytes() == want.data.tobytes()
 

@@ -1,7 +1,8 @@
 """The program's surface is what the program uses.
 
-Every name in ``ranktrack.__all__`` and ``ranktrack.numerics.__all__`` must
-be read somewhere in the program, ``src/`` or ``bench/``: by its own module,
+Every name in ``ranktrack.__all__`` and ``ranktrack.numerics.__all__``, and
+every public module-level function and class of a ``ranktrack`` module,
+must be read somewhere in the program, ``src/`` or ``bench/``: by its own module,
 through a ``from ... import`` of it, or as an attribute of its module
 (``nm.conv2d``). Imports, definitions, export lists, docstrings and
 comments do not count, and neither does an attribute of the same name on
@@ -84,6 +85,17 @@ def test_every_export_is_used_by_the_program():
             if (getattr(package, name).__module__, name) not in reads:
                 unused.append(f"{package.__name__}.{name}")
     assert not unused, f"exported but never read by src/ or bench/: {unused}"
+
+
+def test_every_public_definition_is_used_by_the_program():
+    reads = _program_reads()
+    unused = []
+    for path in sorted((ROOT / "src" / "ranktrack").glob("*.py")):
+        module = f"ranktrack.{path.stem}"
+        unused += [f"{module}.{node.name}" for node in ast.parse(path.read_text()).body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and (module, node.name) not in reads]
+    assert not unused, f"defined but never read by src/ or bench/: {unused}"
 
 
 def _defaulted_params(tree: ast.AST) -> list[tuple[str, str, int | None]]:

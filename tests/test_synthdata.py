@@ -14,9 +14,8 @@ from ranktrack.synthdata import (
     SHAPE_FAMILIES,
     _shape_mask,
     _shape_window,
-    context_side,
+    context_crop,
     crop_pair,
-    crop_search,
     crop_template,
     crop_window,
     export_sequence,
@@ -295,24 +294,30 @@ class TestCropPair:
     def test_search_center_override(self):
         seq = gen_sequence(SequenceSpec(seed=11, frames=2, motion_sigma=0.0))
         _, _, gt_a, _ = crop_pair(seq, 1, 64, 128)
-        _, gt_b, tf = crop_search(seq, 1, 64, 128,
-                                  search_center=(seq.gt[1].center[0] + 10, seq.gt[1].center[1]))
-        assert gt_b.center[0] < gt_a.center[0]
+        cx, cy = seq.gt[1].center
+        tf = context_crop(seq.gt[0], (cx + 10, cy), 128 / 64, 128)
+        gt_b = tf.to_crop(seq.gt[1])
+        assert gt_b.center[0] == pytest.approx(gt_a.center[0] - 10 * tf.scale, abs=1e-9)
+        assert gt_b.center[1] == pytest.approx(gt_a.center[1], abs=1e-9)
 
     def test_out_of_range_index(self):
         seq = gen_sequence(SequenceSpec(seed=12, frames=2))
         with pytest.raises(IndexError):
             crop_pair(seq, 5)
         with pytest.raises(IndexError):
-            crop_search(seq, -1)
+            crop_pair(seq, -1)
 
     def test_pair_is_template_plus_search(self):
         seq = gen_sequence(SequenceSpec(seed=14, frames=3))
         template, search, gt_s, tf = crop_pair(seq, 2, 48, 96)
-        s2, gt2, tf2 = crop_search(seq, 2, 48, 96)
+        gt0 = seq.gt[0]
+        want = context_crop(gt0, seq.gt[2].center, 96 / 48, 96)
         assert template.tobytes() == crop_template(seq, 48).tobytes()
-        assert search.tobytes() == s2.tobytes()
-        assert (gt_s, tf) == (gt2, tf2)
+        assert template.tobytes() == context_crop(gt0, gt0.center, 1.0, 48).crop(
+            seq.frames[0]).tobytes()
+        assert search.tobytes() == crop_window(seq.frames[2], want.cx, want.cy, want.side,
+                                               96).tobytes()
+        assert (gt_s, tf) == (want.to_crop(seq.gt[2]), want)
 
     def test_shapes(self):
         seq = gen_sequence(SequenceSpec(seed=13, frames=1))
@@ -323,7 +328,12 @@ class TestCropPair:
     def test_context_side_formula(self):
         b = Box(0, 0, 24, 24)
         # margin 0.5 * (w + h) = 24 added to each side before the sqrt
-        assert context_side(b) == pytest.approx(48.0, abs=1e-12)
+        assert context_crop(b, b.center, 1.0, 8).side == pytest.approx(48.0, abs=1e-12)
+        tf = context_crop(b, (3.0, 4.0), 2.5, 8)
+        assert (tf.cx, tf.cy, tf.side, tf.out_size) == (3.0, 4.0, pytest.approx(120.0), 8)
+        # a 10 x 30 box: margin 20, side sqrt(30 * 50)
+        assert context_crop(Box(0, 0, 10, 30), (0.0, 0.0), 1.0, 8).side == \
+            pytest.approx(np.sqrt(1500.0), abs=1e-12)
 
 
 class TestExportImport:
