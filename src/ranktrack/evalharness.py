@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import pipeline, synthdata
-from .geometry import Box, assign_labels, center_distance, decode_boxes, iou
+from .geometry import Box, assign_labels, center_distance, decode_boxes, iou, iou_tensor
 from .rng import SplitMix64
 
 SUCCESS_THRESHOLDS = np.round(np.arange(0, 21) * 0.05, 2)
@@ -114,16 +114,12 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         if cfg.eval_jitter > 0:
             cx += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
             cy += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
-        tf = synthdata.context_crop(seq.gt[0], (cx, cy), cfg.search_size / cfg.template_size,
-                                    cfg.search_size)
-        search, gt_s = tf.crop(seq.frames[t]), tf.to_crop(seq.gt[t])
-        a_cls, a_loc = pipeline.forward(mp, template, search)
-        probs = nm.softmax(a_cls).data[1]
-
-        r, c = np.unravel_index(int(np.argmax(probs)), probs.shape)
-        consistent.append(gt_s.contains(px[r, c], py[r, c]))
-
+        tf, probs, offsets, cell = pipeline.read_out(mp, template, seq.frames[t], seq.gt[0],
+                                                     (cx, cy), cfg)
+        gt_s = tf.to_crop(seq.gt[t])
         in_gt = gt_s.contains(px, py)
+        consistent.append(in_gt[cell])
+
         in_dist = np.zeros_like(in_gt)
         for db in seq.distractor_boxes[t]:
             in_dist |= tf.to_crop(db).contains(px, py)
@@ -131,15 +127,14 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         if in_gt.any() and in_dist.any():
             margins.append(float(probs[in_gt].max() - probs[in_dist].max()))
 
-        labels = assign_labels(grid, gt_s)
-        pos = labels.pos_flat()
+        pos = assign_labels(grid, gt_s).pos_flat()
         if pos.size >= 2:
             p_vec = probs.reshape(-1)[pos]
-            corners = decode_boxes(px.reshape(-1)[pos], py.reshape(-1)[pos],
-                                   a_loc.data.reshape(4, -1)[:, pos])
-            ious = [iou(Box(*b), gt_s) for b in zip(*corners)]
-            if len(set(p_vec.tolist())) > 1 and len(set(ious)) > 1:
-                taus.append(kendall_tau(p_vec, np.array(ious)))
+            # the loss's IoU of each positive's decoded box, v_i, without its graph
+            ious = iou_tensor(*decode_boxes(px.reshape(-1)[pos], py.reshape(-1)[pos],
+                                            offsets.reshape(4, -1)[:, pos]), gt_s).data
+            if len(set(p_vec.tolist())) > 1 and len(set(ious.tolist())) > 1:
+                taus.append(kendall_tau(p_vec, ious))
 
     return (
         float(np.mean(consistent)),

@@ -672,27 +672,33 @@ def check_params(mp: ModelParams, cfg: TrainConfig) -> None:
 
 # -- tracking ---------------------------------------------------------------------
 
-def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray,
-               prev: Box, cfg: TrainConfig) -> tuple[tuple[int, int], Box]:
-    """One tracking step: search ``frame`` around ``prev`` and pick the
-    grid cell with the highest foreground probability, as described in
-    ``track``. ``template`` is the template raster or its ``embed`` features.
-
-    Returns the chosen grid cell (row, col) and its decoded box in image
-    coordinates, clamped to the frame; a degenerate box is replaced by
-    ``prev``.
-    """
-    grid = head_grid(cfg)
-    tf = synthdata.context_crop(prev, prev.center, cfg.search_size / cfg.template_size,
+def read_out(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray, anchor: Box,
+             center: tuple[float, float], cfg: TrainConfig,
+             ) -> tuple[synthdata.CropTransform, np.ndarray, np.ndarray, tuple[int, int]]:
+    """The model's reading of one frame, for tracking and scoring: the crop
+    transform of ``anchor``'s search-size context square around ``center``,
+    the (G, G) foreground probabilities and (4, G, G) side offsets on it, and
+    the (row, col) of the most confident cell. No cosine window re-scores it:
+    the ranking losses train confidence to rank the target first and in IoU
+    order. ``template`` is the template raster or its ``embed`` features."""
+    tf = synthdata.context_crop(anchor, center, cfg.search_size / cfg.template_size,
                                 cfg.search_size)
-    search = tf.crop(frame)
-
-    a_cls, a_loc = forward(mp, template, search)
+    a_cls, a_loc = forward(mp, template, tf.crop(frame))
     probs = nm.softmax(a_cls).data[1]
     r, c = (int(i) for i in np.unravel_index(int(np.argmax(probs)), probs.shape))
+    return tf, probs, a_loc.data, (r, c)
+
+
+def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray,
+               prev: Box, cfg: TrainConfig) -> tuple[tuple[int, int], Box]:
+    """``read_out`` of ``frame`` around ``prev``; returns its cell and that
+    cell's decoded box in image coordinates, clamped to the frame. A
+    degenerate box is replaced by ``prev``."""
+    tf, _, offsets, (r, c) = read_out(mp, template, frame, prev, prev.center, cfg)
+    grid = head_grid(cfg)
     # the chosen cell's pixel alone, with the bytes of grid.pixel_xy()[r, c]
     box_search = Box(*decode_boxes(grid.offset_x + grid.stride * c,
-                                   grid.offset_y + grid.stride * r, a_loc.data[:, r, c]))
+                                   grid.offset_y + grid.stride * r, offsets[:, r, c]))
     h_img, w_img = frame.shape[1:]
     box = tf.to_image(box_search).clipped(float(w_img), float(h_img))
     if box.area <= 0.0:  # degenerate prediction: hold the previous box
@@ -701,17 +707,9 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
 
 
 def track(mp: ModelParams, seq: synthdata.Sequence, cfg: TrainConfig) -> list[Box]:
-    """Frame-by-frame inference from the first-frame ground truth.
-
-    Each later frame is one ``track_step`` from the previous prediction:
-    crop the search region around it, pick the grid cell with the highest
-    foreground probability, decode its box, and map it back to image
-    coordinates clamped to the frame. Confidence alone picks the box, with
-    no cosine window or other re-scoring: the ranking losses train that
-    confidence to rank the target above distractors and in IoU order. The
-    template features are computed once per sequence, so a frame costs
-    one search crop and one search forward.
-    """
+    """Frame-by-frame ``track_step`` from the first-frame ground truth. The
+    template is embedded once per sequence, so a frame costs one search crop
+    and one search forward."""
     template = embed(mp, synthdata.crop_template(seq, cfg.template_size))
     preds = [seq.gt[0]]
     for t in range(1, len(seq)):

@@ -459,7 +459,8 @@ def import_sequence(in_dir: str) -> Sequence:
     there, and such a box's extents, mapped into a crop, can overflow to
     infinity (a corner at 1e308 does). Inside that reach every coordinate
     the crop mappings compute stays within a few orders of magnitude of
-    the frame size."""
+    the frame size. So is a target frame-0 box, which sizes the crops, whose
+    context square has side 0: a zero-size box, or one 1e-200 wide at 0."""
     names = sorted(n for n in os.listdir(in_dir) if n.startswith("frame_") and n.endswith(".ppm"))
     if not names:
         raise ValueError(f"no frames found in {in_dir}")
@@ -492,6 +493,8 @@ def import_sequence(in_dir: str) -> Sequence:
             if min(box.x1, box.y1) < -reach or max(box.x2 - w, box.y2 - h) > reach:
                 raise ValueError(f"a box corner lies more than {BOX_REACH} frame sizes "
                                  f"outside the {w}x{h} frame")
+            if len(blocks) == 1 and t == 0 and context_crop(box, box.center, 1.0, 1).side == 0.0:
+                raise ValueError("the target's frame-0 box has a context square of side 0")
             blocks[-1][t] = box
         except ValueError as e:
             raise ValueError(f"{ann_path}: line {lineno}: {e}") from None

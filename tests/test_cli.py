@@ -312,9 +312,11 @@ CASE_TEXTS = {
 # bytes appended
 DAMAGED_CHECKPOINTS = {"nan-weight": np.nan, "inf-weight": np.inf, "trailing-bytes": b"\0"}
 # `eval --seqs` reads one exported sequence whose target block has this line
-# for frame 2, in annotations.txt
-ANNOTATION_LINES = {"far-box": "2 -1e308 10.0 1e308 40.0"}
+# in place of the line of the frame it names, in annotations.txt
+ANNOTATION_LINES = {"far-box": "2 -1e308 10.0 1e308 40.0", "zero-box": "0 20.0 30.0 20.0 30.0",
+                    "underflowing-box": "0 0.0 0.0 1e-200 1e-200"}
 ANNOTATIONS = Path("seqs") / "seq0" / "annotations.txt"
+ZERO_SIDE_BOX = "line 1: the target's frame-0 box has a context square of side 0"
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
                               ("non-utf8", "codec can't decode"))] + [
@@ -336,6 +338,8 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("eval-trailing-bytes", cli.EXIT_CONFIG, "bytes after the last tensor, 'loc2_b', of checkpoint"),
     ("eval-far-box", cli.EXIT_CONFIG,
      "line 3: a box corner lies more than 100 frame sizes outside the 160x160 frame"),
+    ("eval-zero-box", cli.EXIT_CONFIG, ZERO_SIDE_BOX),
+    ("eval-underflowing-box", cli.EXIT_CONFIG, ZERO_SIDE_BOX),
     ("train-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("ablation-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("train-negative-rank-weight", cli.EXIT_CONFIG, "field 'w_rank_cls' must be non-negative"),
@@ -389,8 +393,8 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         ann = tmp_path / ANNOTATIONS
         synthdata.export_sequence(synthdata.gen_sequence(synthdata.SequenceSpec(seed=3, frames=5)),
                                   str(ann.parent))
-        lines = ann.read_text().split("\n")
-        lines[2] = ANNOTATION_LINES[what]
+        lines, line = ann.read_text().split("\n"), ANNOTATION_LINES[what]
+        lines[int(line.split()[0])] = line
         ann.write_text("\n".join(lines))
         extra += ["--seqs", str(tmp_path / ANNOTATIONS.parts[0])]
     return [command, flag, str(path), "--out", str(out)] + extra

@@ -204,13 +204,29 @@ class TestIoULossTensor:
             assert err < 1e-4
 
     def test_matches_float_iou(self, rng_points):
-        gt = Box(10, 10, 40, 45)
-        for _ in range(25):
-            c = rng_points.uniform(5, 50, 2)
-            w, h = rng_points.uniform(1, 30, 2)
-            b = Box(c[0], c[1], c[0] + w, c[1] + h)
-            got = iou_tensor(Tensor(b.x1), Tensor(b.y1), Tensor(b.x2), Tensor(b.y2), gt)
-            assert got.item() == pytest.approx(iou(b, gt), abs=1e-12)
+        """The forward has the bytes of the scalar ``iou`` on vectors of boxes
+        that overlap the ground truth, lie inside it, miss it, tie its edges
+        or have zero extents. The scoring pass's Kendall tau reads its IoUs
+        from ``iou_tensor`` and must not move."""
+        gt = Box(10.25, 10, 40, 45.5)
+        edges = gt.as_array()
+        fixed = np.array([edges,                          # itself: exactly 1
+                          edges + [-1, -1, 1, 1],         # holds it
+                          [20, 20, 20, 20],               # a point inside
+                          [40, 20, 55, 30],               # touches its right edge
+                          [10.25, 10, 10.25, 45.5]])      # its left edge, zero width
+        for _ in range(200):
+            lo = rng_points.uniform(0, 55, (50, 2))
+            boxes = np.concatenate([lo, lo + rng_points.uniform(0, 30, (50, 2))], axis=1)
+            boxes[:10, :2] = rng_points.uniform(edges[:2], edges[2:] - 5, (10, 2))  # inside
+            boxes[:10, 2:] = boxes[:10, :2] + rng_points.uniform(0, 5, (10, 2))
+            boxes[10:15] += [60, 0, 60, 0]                                          # beyond
+            boxes = np.where(rng_points.random((50, 4)) < 0.2, edges, boxes)         # ties
+            boxes = np.sort(boxes.reshape(50, 2, 2), axis=1).reshape(50, 4)          # x1 <= x2
+            boxes = np.concatenate([fixed, boxes])
+            want = np.array([iou(Box(*b), gt) for b in boxes])
+            assert iou_tensor(*boxes.T, gt).data.tobytes() == want.tobytes()
+        assert want[:5].tolist() == [1.0, want[1], 0.0, 0.0, 0.0] and 0 < want[1] < 1
 
     def test_prediction_equal_to_its_ground_truth_is_exactly_one(self):
         rng = np.random.default_rng(17)

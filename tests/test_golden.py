@@ -183,7 +183,12 @@ def test_paper_preset_golden_at_one_and_two_blas_threads():
         [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
         for threads in ("1", "2")}
+    try:  # both outputs are read before any assertion, so no child outlives the test
+        outs = {threads: proc.communicate(timeout=300)[0] for threads, proc in runs.items()}
+    finally:
+        for proc in runs.values():
+            proc.kill()
+            proc.communicate()
     for threads, proc in runs.items():
-        out, _ = proc.communicate(timeout=300)
-        assert proc.returncode == 0
-        assert json.loads(out) == PAPER_GOLDENS, f"OPENBLAS_NUM_THREADS={threads}"
+        assert proc.returncode == 0, f"OPENBLAS_NUM_THREADS={threads}"
+        assert json.loads(outs[threads]) == PAPER_GOLDENS, f"OPENBLAS_NUM_THREADS={threads}"

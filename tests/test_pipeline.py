@@ -721,9 +721,8 @@ class TestTrack:
         seqs = pipeline.eval_pool(cfg)
         hits = 0
         for seq in seqs:
-            t, s, gt_s, _ = synthdata.crop_pair(seq, 0, cfg.template_size, cfg.search_size)
-            a_cls, _ = forward(result.params, t, s)
-            probs = nm.softmax(a_cls).data[1]
-            r, c = np.unravel_index(int(np.argmax(probs)), probs.shape)
-            hits += gt_s.contains(px[r, c], py[r, c])
+            template = synthdata.crop_template(seq, cfg.template_size)
+            tf, _, _, (r, c) = pipeline.read_out(result.params, template, seq.frames[0],
+                                                 seq.gt[0], seq.gt[0].center, cfg)
+            hits += tf.to_crop(seq.gt[0]).contains(px[r, c], py[r, c])
         assert hits >= len(seqs) - 1
