@@ -17,7 +17,7 @@ scores exactly 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def precision_curve(pred: list[Box], gt: list[Box],
     return [(float(r), float(np.mean(dists <= r))) for r in radii]
 
 
-def dp_at(pred: list[Box], gt: list[Box], radius: float = 20.0) -> float:
+def dp_at(pred: list[Box], gt: list[Box], radius: float) -> float:
     """Fraction of frames with center error within ``radius`` pixels."""
     return precision_curve(pred, gt, (radius,))[0][1]
 
@@ -89,7 +89,7 @@ class SequenceMetrics:
 @dataclass
 class MetricReport:
     per_sequence: list[SequenceMetrics]
-    predictions: list[list[Box]] = field(default_factory=list)  # tracked boxes per sequence
+    predictions: list[list[Box]]  # tracked boxes per sequence
 
     def aggregate(self) -> dict[str, float]:
         out = {}

@@ -5,7 +5,7 @@ The classifier/regressor head predicts one box per grid location
 ground-truth box shrunk by ``POSITIVE_SHRINK`` about its center,
 negative when it falls outside the full box, and ignore in between.
 The shrink rule is a stand-in convention (common for anchor-free heads)
-and is recorded in run configs for reproducibility.
+and a module constant, so a run's manifest (its config) does not record it.
 """
 
 from __future__ import annotations
@@ -113,34 +113,25 @@ def center_distance(a: Box, b: Box) -> float:
 
 @dataclass(frozen=True)
 class HeadGrid:
-    """Geometry of the prediction grid over the search image.
+    """Geometry of the square prediction grid over a square search image.
 
     Grid location (row, col) sits at search pixel
-    (offset_y + stride*row, offset_x + stride*col).
+    (offset + stride*row, offset + stride*col).
     """
 
-    height: int
-    width: int
+    size: int
     stride: float
-    offset_x: float
-    offset_y: float
+    offset: float
 
     @classmethod
-    def centered(cls, search_size: int, height: int, width: int, stride: float) -> "HeadGrid":
-        return cls(
-            height=height,
-            width=width,
-            stride=stride,
-            offset_x=0.5 * (search_size - (width - 1) * stride),
-            offset_y=0.5 * (search_size - (height - 1) * stride),
-        )
+    def centered(cls, search_size: int, size: int, stride: float) -> "HeadGrid":
+        return cls(size=size, stride=stride, offset=0.5 * (search_size - (size - 1) * stride))
 
     def pixel_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-location pixel coordinates, each shaped (height, width)."""
-        px = self.offset_x + self.stride * np.arange(self.width)
-        py = self.offset_y + self.stride * np.arange(self.height)
-        return np.broadcast_to(px, (self.height, self.width)).copy(), \
-            np.broadcast_to(py[:, None], (self.height, self.width)).copy()
+        """Per-location pixel coordinates, each shaped (size, size)."""
+        p = self.offset + self.stride * np.arange(self.size)
+        return np.broadcast_to(p, (self.size, self.size)).copy(), \
+            np.broadcast_to(p[:, None], (self.size, self.size)).copy()
 
 
 POSITIVE, NEGATIVE, IGNORE = 1, 0, -1
@@ -179,7 +170,7 @@ def assign_labels(grid: HeadGrid, gt: Box) -> LabelMap:
     entirely yields zero positives; callers must handle that.
     """
     px, py = grid.pixel_xy()
-    cls = np.full((grid.height, grid.width), NEGATIVE, dtype=np.int8)
+    cls = np.full((grid.size, grid.size), NEGATIVE, dtype=np.int8)
     cls[gt.contains(px, py)] = IGNORE
     cls[gt.scaled_about_center(POSITIVE_SHRINK).contains(px, py)] = POSITIVE
     return LabelMap(cls=cls)
@@ -205,7 +196,8 @@ def iou_tensor(x1, y1, x2, y2, gt: Box) -> Tensor:
     IoU never exceeds 1. The backward is closed-form: with q = g / union,
     inter receives q * (1 + IoU) and pred_area -q * IoU. A predicted edge
     that ties the ground truth's bounds the intersection, and an extent
-    that is not > 0 passes no gradient (a miss has zero gradient).
+    that is not > 0 passes no gradient (a miss has zero gradient). Two
+    empty boxes have a zero union, and IoU 0 with zero gradient as in ``iou``.
     """
     coords = [nm._as_tensor(t) for t in (x1, y1, x2, y2)]
     shapes = [t.data.shape for t in coords]
@@ -218,10 +210,10 @@ def iou_tensor(x1, y1, x2, y2, gt: Box) -> Tensor:
     iw, ih, pw, ph = (np.where(m, e, 0.0) for m, e in zip(masks, extents))
     inter = iw * ih
     union = (pw * ph + gt.area) - inter
-    out = inter / union
+    out = np.divide(inter, union, out=np.zeros_like(union), where=union > 0)
 
     def bw(g):
-        q = g / union
+        q = np.divide(g, union, out=np.zeros_like(union), where=union > 0)
         g_area = -q * out
         g_inter = q - g_area
         giw, gih = g_inter * ih * mw, g_inter * iw * mh

@@ -26,9 +26,6 @@ from . import numerics as nm
 from .geometry import LabelMap
 from .numerics import Tensor
 
-DEFAULT_ALPHA = 0.5     # margin of the classification ranking loss
-DEFAULT_BETA = 4.0      # sharpness of the classification ranking loss
-DEFAULT_GAMMA = 3.0     # sharpness of the IoU-guided ranking loss
 DEFAULT_TAU_NEG = 0.5   # confidence above which a negative counts as hard
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.25)
 
@@ -99,7 +96,7 @@ def foreground_probs(a_cls: Tensor) -> Tensor:
     return nm.reshape(probs[1], (h * w,))
 
 
-def hard_negative_set(neg_scores: Tensor, tau_neg: float = DEFAULT_TAU_NEG) -> np.ndarray:
+def hard_negative_set(neg_scores: Tensor, tau_neg: float) -> np.ndarray:
     """Indices of the negative confidences strictly above ``tau_neg``, in order.
 
     An empty result is valid and triggers the skip rule upstream.
@@ -126,8 +123,7 @@ def expectations(pos_scores: Tensor, hard_negs: Tensor) -> tuple[Tensor, Tensor]
     return p_plus, p_minus
 
 
-def rank_cls_loss(p_minus, p_plus, alpha: float = DEFAULT_ALPHA,
-                  beta: float = DEFAULT_BETA) -> Tensor:
+def rank_cls_loss(p_minus, p_plus, alpha: float, beta: float) -> Tensor:
     """Logistic loss (1/beta) * log(1 + exp(beta * (P_minus - P_plus + alpha))).
 
     Callers apply the skip rule: when an image has no hard negatives
@@ -175,8 +171,7 @@ def rank_plan(batch: RankBatch, tau_neg: float = DEFAULT_TAU_NEG) -> RankPlan:
                     frozen_v=v[conf_pairs[1]])
 
 
-def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA,
-                  plan: RankPlan | None = None) -> Tensor:
+def rank_iou_loss(batch: RankBatch, gamma: float, plan: RankPlan) -> Tensor:
     """Pairwise exponential loss aligning confidence order with IoU order.
 
     Over positive locations:
@@ -188,15 +183,13 @@ def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA,
     (treated as a constant during backprop) and only v_i is optimized;
     otherwise the loss could be lowered by degrading the j-th box.
     Strict comparisons: tied pairs contribute to neither sum. The pairs
-    and frozen values come from ``plan``, by default the batch's own.
+    and frozen values come from ``plan``, such as ``rank_plan(batch)``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
     n = batch.n_pos
     if n <= 1:
         return Tensor(0.0)
-    if plan is None:
-        plan = rank_plan(batch)
     p, v = batch.pos_scores, batch.pos_ious
 
     i1, j1 = plan.iou_pairs
@@ -207,7 +200,7 @@ def rank_iou_loss(batch: RankBatch, gamma: float = DEFAULT_GAMMA,
     return nm.mul(nm.add(s1, s2), 1.0 / n)
 
 
-def rank_iou_loss_ori(batch: RankBatch, alpha: float = 4.0) -> Tensor:
+def rank_iou_loss_ori(batch: RankBatch, alpha: float) -> Tensor:
     """Coupled pairwise baseline: mean over ordered pairs (i != j) of
     (1/alpha) * log(1 + exp(-alpha * (p_i - p_j) * (v_i - v_j))).
 
@@ -229,8 +222,7 @@ def rank_iou_loss_ori(batch: RankBatch, alpha: float = 4.0) -> Tensor:
     return nm.mean(per_pair)
 
 
-def two_stage_ce(a_cls: Tensor, labels: LabelMap,
-                 tau_neg: float = DEFAULT_TAU_NEG) -> Tensor:
+def two_stage_ce(a_cls: Tensor, labels: LabelMap, tau_neg: float) -> Tensor:
     """Cross-entropy plus a second pass restricted to hard negatives.
 
     The second stage re-penalizes negatives whose foreground confidence
@@ -269,7 +261,7 @@ class LossBreakdown:
         }
 
 
-def combine(cls, loc, rank_cls=0.0, rank_iou=0.0, *, skipped_rank_cls: bool = False,
+def combine(cls, loc, rank_cls, rank_iou, *, skipped_rank_cls: bool = False,
             weights: tuple[float, float, float] = DEFAULT_WEIGHTS) -> LossBreakdown:
     """Weighted total: (cls + loc) * w0 + rank_cls * w1 + rank_iou * w2.
 

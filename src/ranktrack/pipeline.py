@@ -45,9 +45,9 @@ _DOM_JITTER = 5
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or parameter."""
 
-    def __init__(self, message: str, snapshot: dict | None = None):
+    def __init__(self, message: str, snapshot: dict):
         super().__init__(message)
-        self.snapshot = snapshot or {}
+        self.snapshot = snapshot
 
 
 @dataclass
@@ -156,7 +156,7 @@ def head_grid(cfg: TrainConfig) -> HeadGrid:
     fz = feature_extent(cfg.template_size)
     fx = feature_extent(cfg.search_size)
     g = fx - fz + 1 if cfg.corr_mode == "dw" else fx
-    return HeadGrid.centered(cfg.search_size, g, g, float(TOTAL_STRIDE))
+    return HeadGrid.centered(cfg.search_size, g, float(TOTAL_STRIDE))
 
 
 @dataclass
@@ -271,7 +271,7 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
 
     pos = labels.pos_flat()
     px, py = grid.pixel_xy()
-    offs = nm.reshape(a_loc, (4, grid.height * grid.width))
+    offs = nm.reshape(a_loc, (4, grid.size * grid.size))
     x1, y1, x2, y2 = decode_boxes(Tensor(px.reshape(-1)[pos]), Tensor(py.reshape(-1)[pos]),
                                   [offs[k][pos] for k in range(4)])
     v_iou = iou_tensor(x1, y1, x2, y2, gt)
@@ -697,8 +697,8 @@ def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray
     tf, _, offsets, (r, c) = read_out(mp, template, frame, prev, prev.center, cfg)
     grid = head_grid(cfg)
     # the chosen cell's pixel alone, with the bytes of grid.pixel_xy()[r, c]
-    box_search = Box(*decode_boxes(grid.offset_x + grid.stride * c,
-                                   grid.offset_y + grid.stride * r, offsets[:, r, c]))
+    box_search = Box(*decode_boxes(grid.offset + grid.stride * c,
+                                   grid.offset + grid.stride * r, offsets[:, r, c]))
     h_img, w_img = frame.shape[1:]
     box = tf.to_image(box_search).clipped(float(w_img), float(h_img))
     if box.area <= 0.0:  # degenerate prediction: hold the previous box

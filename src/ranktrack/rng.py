@@ -88,7 +88,7 @@ class SplitMix64:
             if u < bound:
                 return u % n
 
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+    def normal(self, mu: float, sigma: float) -> float:
         if self._spare_normal is not None:
             z, self._spare_normal = self._spare_normal, None
             return mu + sigma * z

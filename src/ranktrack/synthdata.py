@@ -39,7 +39,7 @@ import math
 import os
 import re
 from collections import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class Sequence:
     frames: abc.Sequence[np.ndarray]     # (3, H, W) float64 in [0, 1]; PaintedFrames if generated
     gt: list[Box]                        # target box per frame
     distractor_boxes: list[list[Box]]    # per frame, one box per distractor
-    spec: SequenceSpec = field(default=None)  # echo of the generating spec
+    spec: SequenceSpec | None            # echo of the generating spec; None if imported without one
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -373,14 +373,14 @@ def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
     return out
 
 
-def crop_template(seq: Sequence, template_size: int = 64) -> np.ndarray:
+def crop_template(seq: Sequence, template_size: int) -> np.ndarray:
     """Frame 0's crop of the first ground truth's context square."""
     gt0 = seq.gt[0]
     return context_crop(gt0, gt0.center, 1.0, template_size).crop(seq.frames[0])
 
 
-def crop_pair(seq: Sequence, index: int, template_size: int = 64, search_size: int = 128,
-              ) -> tuple[np.ndarray, np.ndarray, Box, CropTransform]:
+def crop_pair(seq: Sequence, index: int, template_size: int,
+              search_size: int) -> tuple[np.ndarray, np.ndarray, Box, CropTransform]:
     """Template (frame 0) and search (frame ``index``, centred on its target)
     crops, the ground truth mapped into search coordinates, and the search
     transform."""

@@ -67,7 +67,7 @@ class TestSuccessAuc:
 
 class TestDpAt:
     def test_zero_error(self):
-        assert dp_at([BOX] * 3, [BOX] * 3) == 1.0
+        assert dp_at([BOX] * 3, [BOX] * 3, 20.0) == 1.0
 
     def test_all_30px_off_at_radius_20(self):
         preds = [shifted(BOX, 30.0)] * 3
@@ -124,7 +124,7 @@ def make_report(**overrides):
     vals = dict(success_auc=0.5, dp20=0.6, rank_consistency=0.7,
                 distractor_margin=0.1, kendall_tau=0.3)
     vals.update(overrides)
-    return MetricReport(per_sequence=[SequenceMetrics(name="s0", **vals)])
+    return MetricReport(per_sequence=[SequenceMetrics(name="s0", **vals)], predictions=[])
 
 
 class TestAblationTable:
@@ -166,7 +166,7 @@ class TestReportCsv:
         report = MetricReport(per_sequence=[
             SequenceMetrics("a", 0.4, 0.6, 0.8, float("nan"), 0.2),
             SequenceMetrics("b", 0.6, 0.8, 1.0, 0.3, 0.4),
-        ])
+        ], predictions=[])
         agg = report.aggregate()
         assert agg["success_auc"] == pytest.approx(0.5)
         assert agg["distractor_margin"] == pytest.approx(0.3)
@@ -177,7 +177,7 @@ class TestReportCsv:
         report = MetricReport(per_sequence=[
             SequenceMetrics("a", 0.4, 0.6, 0.8, float("nan"), 0.2),
             SequenceMetrics("b", 0.6, 0.8, 1.0, float("nan"), 0.4),
-        ])
+        ], predictions=[])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             agg = report.aggregate()

@@ -91,7 +91,7 @@ class TestBox:
 
 class TestAssignLabels:
     def grid(self):
-        return HeadGrid.centered(128, 9, 9, 8.0)
+        return HeadGrid.centered(128, 9, 8.0)
 
     def test_center_is_positive(self):
         grid = self.grid()
@@ -120,7 +120,7 @@ class TestAssignLabels:
         grid = self.grid()
         labels = assign_labels(grid, Box(40, 50, 90, 88))
         counts = sum(int(np.sum(labels.cls == c)) for c in (POSITIVE, NEGATIVE, IGNORE))
-        assert counts == grid.height * grid.width
+        assert counts == grid.size * grid.size
 
     def test_gt_outside_grid_all_negative(self):
         labels = assign_labels(self.grid(), Box(200, 200, 220, 220))
@@ -227,6 +227,18 @@ class TestIoULossTensor:
             want = np.array([iou(Box(*b), gt) for b in boxes])
             assert iou_tensor(*boxes.T, gt).data.tobytes() == want.tobytes()
         assert want[:5].tolist() == [1.0, want[1], 0.0, 0.0, 0.0] and 0 < want[1] < 1
+        # zero-area ground truths, against zero-area predictions on and off
+        # them as well: a zero union reads 0 like the scalar ``iou``, and
+        # passes a zero gradient
+        boxes = np.array([[5, 6, 5, 8], [5, 5, 5, 9], [5, 7, 5, 7], [5, 5, 9, 5],
+                          [1, 1, 1, 1], [4, 5, 6, 9], [0, 0, 10, 10]], dtype=float)
+        for gt in (Box(5, 5, 5, 9), Box(5, 5, 9, 5), Box(5, 7, 5, 7)):
+            want = np.array([iou(Box(*b), gt) for b in boxes])
+            coords = [Tensor(c, requires_grad=True) for c in boxes.T]
+            out = iou_tensor(*coords, gt)
+            assert out.data.tobytes() == want.tobytes() and not want.any()
+            backward(nm.sum_(out))
+            assert not any(c.grad.any() for c in coords)
 
     def test_prediction_equal_to_its_ground_truth_is_exactly_one(self):
         rng = np.random.default_rng(17)
@@ -269,8 +281,9 @@ class TestIoULossTensor:
 
 
 def test_head_grid_mapping():
-    grid = HeadGrid.centered(128, 9, 9, 8.0)
+    grid = HeadGrid.centered(128, 9, 8.0)
     px, py = grid.pixel_xy()
     assert px[0, 0] == 32.0 and px[0, -1] == 96.0
     assert py[4, 4] == 64.0
     assert px.shape == (9, 9)
+    assert py.tobytes() == px.T.tobytes()

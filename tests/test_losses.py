@@ -18,6 +18,7 @@ from ranktrack.losses import (
     rank_cls_loss,
     rank_iou_loss,
     rank_iou_loss_ori,
+    rank_plan,
     two_stage_ce,
 )
 from ranktrack.numerics import Tensor, backward
@@ -28,6 +29,11 @@ def make_batch(p, v, neg=()):
     return RankBatch(pos_scores=Tensor(np.asarray(p, dtype=float)),
                      neg_scores=Tensor(np.asarray(neg, dtype=float)),
                      pos_ious=Tensor(np.asarray(v, dtype=float)))
+
+
+def own_rank_iou(batch, gamma):
+    """``rank_iou_loss`` with the batch's own plan."""
+    return rank_iou_loss(batch, gamma, rank_plan(batch))
 
 
 def labels_from_codes(codes):
@@ -184,15 +190,15 @@ class TestRankClsLoss:
         for _ in range(40):
             pm = Tensor(rng.uniform(0, 1), requires_grad=True)
             pp = Tensor(rng.uniform(0, 1), requires_grad=True)
-            backward(rank_cls_loss(pm, pp))
+            backward(rank_cls_loss(pm, pp, 0.5, 4.0))
             assert pm.grad > 0.0   # strictly increasing in P-
             assert pp.grad < 0.0   # strictly decreasing in P+
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            rank_cls_loss(Tensor(0.5), Tensor(0.5), alpha=-0.1)
+            rank_cls_loss(Tensor(0.5), Tensor(0.5), alpha=-0.1, beta=4.0)
         with pytest.raises(ValueError):
-            rank_cls_loss(Tensor(0.5), Tensor(0.5), beta=0.0)
+            rank_cls_loss(Tensor(0.5), Tensor(0.5), alpha=0.5, beta=0.0)
 
 
 def rank_iou_oracle(p, v, gamma, n):
@@ -213,14 +219,14 @@ def rank_iou_oracle(p, v, gamma, n):
 
 class TestRankIoULoss:
     def test_single_positive_is_zero(self):
-        assert rank_iou_loss(make_batch([0.7], [0.5])).item() == 0.0
+        assert own_rank_iou(make_batch([0.7], [0.5]), 3.0).item() == 0.0
 
     def test_frozen_two_element_example(self):
-        got = rank_iou_loss(make_batch([0.8, 0.6], [0.9, 0.5]), gamma=3.0).item()
+        got = own_rank_iou(make_batch([0.8, 0.6], [0.9, 0.5]), 3.0).item()
         assert got == pytest.approx(0.42500292400311424, abs=1e-12)
 
     def test_all_tied_is_zero(self):
-        assert rank_iou_loss(make_batch([0.5, 0.5, 0.5], [0.3, 0.3, 0.3])).item() == 0.0
+        assert own_rank_iou(make_batch([0.5, 0.5, 0.5], [0.3, 0.3, 0.3]), 3.0).item() == 0.0
 
     def test_oracle_equality_exact(self):
         rng = SplitMix64(41)
@@ -228,7 +234,7 @@ class TestRankIoULoss:
             n = 2 + rng.randint(63)
             p = np.array([rng.uniform(0, 1) for _ in range(n)])
             v = np.array([rng.uniform(0, 1) for _ in range(n)])
-            got = rank_iou_loss(make_batch(p, v), gamma=3.0).item()
+            got = own_rank_iou(make_batch(p, v), 3.0).item()
             assert got == rank_iou_oracle(p, v, 3.0, n)
 
     def test_freeze_rule_gradients(self):
@@ -241,7 +247,7 @@ class TestRankIoULoss:
             p = Tensor(np.array([p1, p2]), requires_grad=True)
             v = Tensor(np.array([v1, v2]), requires_grad=True)
             batch = RankBatch(pos_scores=p, neg_scores=Tensor(np.zeros(0)), pos_ious=v)
-            backward(rank_iou_loss(batch, gamma=3.0))
+            backward(own_rank_iou(batch, 3.0))
             # second sum freezes v_2; first sum gives v no gradient at all
             assert v.grad[1] == 0.0
             assert v.grad[0] != 0.0
@@ -254,16 +260,16 @@ class TestRankIoULoss:
             n = 2 + rng.randint(10)
             p = [rng.uniform(0, 1) for _ in range(n)]
             v = [rng.uniform(0, 1) for _ in range(n)]
-            assert rank_iou_loss(make_batch(p, v)).item() >= 0.0
+            assert own_rank_iou(make_batch(p, v), 3.0).item() >= 0.0
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
-            rank_iou_loss(make_batch([0.5, 0.6], [0.2, 0.3]), gamma=0.0)
+            own_rank_iou(make_batch([0.5, 0.6], [0.2, 0.3]), 0.0)
 
 
 class TestRankIoULossOri:
     def test_single_positive_is_zero(self):
-        assert rank_iou_loss_ori(make_batch([0.7], [0.5])).item() == 0.0
+        assert rank_iou_loss_ori(make_batch([0.7], [0.5]), alpha=4.0).item() == 0.0
 
     def test_frozen_concordant_pair(self):
         got = rank_iou_loss_ori(make_batch([0.9, 0.1], [0.9, 0.1]), alpha=4.0).item()
@@ -318,7 +324,7 @@ class TestTwoStageCE:
         a[:, 0, 0] = (-20, 20)
         a[:, 0, 1] = (20, -20)
         labels = labels_from_codes([[1, 0]])
-        assert two_stage_ce(a := Tensor(a), labels).item() < 1e-6
+        assert two_stage_ce(a := Tensor(a), labels, 0.5).item() < 1e-6
 
     def test_one_log_softmax_serves_both_stages(self):
         a, labels = self.build([0.9, 0.8, 0.6, 0.2], [1, 0, 0, 0])
@@ -345,7 +351,7 @@ class TestCombine:
         assert out.total.item() == pytest.approx(1.2, abs=1e-15)
 
     def test_rank_terms_zero(self):
-        out = combine(0.9, 0.4)
+        out = combine(0.9, 0.4, 0.0, 0.0)
         assert out.total.item() == pytest.approx(1.3, abs=1e-15)
 
     def test_all_zero(self):
@@ -363,7 +369,7 @@ class TestCombine:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(Exception):
-            combine(float("nan"), 0.0)
+            combine(float("nan"), 0.0, 0.0, 0.0)
 
     def test_gradients_flow_to_parts(self):
         cls = Tensor(0.5, requires_grad=True)
@@ -398,9 +404,9 @@ class TestLossesNonNegative:
             v = [rng.uniform(0, 1) for _ in range(n)]
             neg = [rng.uniform(0, 1) for _ in range(5)]
             batch = make_batch(p, v, neg)
-            assert rank_iou_loss(batch).item() >= 0.0
-            assert rank_iou_loss_ori(batch).item() >= 0.0
+            assert own_rank_iou(batch, 3.0).item() >= 0.0
+            assert rank_iou_loss_ori(batch, 4.0).item() >= 0.0
             hard = batch.neg_scores[hard_negative_set(batch.neg_scores, 0.5)]
             if hard.data.size:
                 p_plus, p_minus = expectations(batch.pos_scores, hard)
-                assert rank_cls_loss(p_minus, p_plus).item() >= 0.0
+                assert rank_cls_loss(p_minus, p_plus, 0.5, 4.0).item() >= 0.0

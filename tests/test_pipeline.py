@@ -120,13 +120,13 @@ class TestModelShapes:
     def test_dw_head_grid_64_128(self):
         cfg = quick_config()
         grid = head_grid(cfg)
-        assert (grid.height, grid.width) == (9, 9)
+        assert grid.size == 9
         assert grid.stride == 8.0
 
     def test_pw_head_grid_matches_search_features(self):
         cfg = quick_config(corr_mode="pw")
         grid = head_grid(cfg)
-        assert (grid.height, grid.width) == (16, 16)
+        assert grid.size == 16
 
     def test_forward_output_shapes(self):
         for mode, g in (("dw", 9), ("pw", 16)):

@@ -33,8 +33,8 @@ class TestNormals:
         # math.log round differently
         a, b = SplitMix64(101), SplitMix64(101)
         for _ in range(warm):  # an odd number of scalar draws leaves a spare
-            a.normal()
-            b.normal()
+            a.normal(0.0, 1.0)
+            b.normal(0.0, 1.0)
         mu, sigma = means(kind, 0.37, count), 0.05
         want = scalar_normals(a, mu, sigma, count)
         got = b.normals(mu, sigma, count)
@@ -52,7 +52,7 @@ class TestNormals:
             assert b.normals(mu, sigma, count).tobytes() == \
                 scalar_normals(a, mu, sigma, count).tobytes()
             assert_same_stream(a, b)
-        assert b._spare_normal is not None and a.normal() == b.normal()
+        assert b._spare_normal is not None and a.normal(0.0, 1.0) == b.normal(0.0, 1.0)
 
     @pytest.mark.parametrize("warm,kind", with_kinds([0, 1]))
     def test_zero_uniform_replays_scalar_path(self, warm, kind):
@@ -62,7 +62,7 @@ class TestNormals:
         a, b = SplitMix64(0), SplitMix64(0)
         for rng in (a, b):
             for _ in range(warm):
-                rng.normal()
+                rng.normal(0.0, 1.0)
             rng._state = -_GOLDEN & _MASK64
         mu = means(kind, 0.5, 9)
         want = scalar_normals(a, mu, 0.1, 9)

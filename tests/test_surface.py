@@ -1,7 +1,7 @@
 """The program's surface is what the program uses.
 
-Every name in ``ranktrack.__all__`` and ``ranktrack.numerics.__all__``, and
-every public module-level function and class of a ``ranktrack`` module,
+Every name in ``ranktrack.numerics.__all__``, and every public
+module-level function and class of a ``ranktrack`` module,
 must be read somewhere in the program, ``src/`` or ``bench/``: by its own module,
 through a ``from ... import`` of it, or as an attribute of its module
 (``nm.conv2d``). Imports, definitions, export lists, docstrings and
@@ -11,13 +11,13 @@ inside its function (``conv2d``'s ``relu=``). Ops that only the tests need
 live in ``tests/reference_ops.py``.
 
 Every defaulted parameter of a ``ranktrack`` function must be passed by
-some call in the program, or the default is a constant in disguise.
+some call in the program, or the default is a constant in disguise; and
+left out by some call in the program, or the default serves only tests.
 """
 
 import ast
 from pathlib import Path
 
-import ranktrack
 from ranktrack import numerics
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,13 +77,8 @@ def _program_reads() -> set[tuple[str, str]]:
 
 def test_every_export_is_used_by_the_program():
     reads = _program_reads()
-    unused = []
-    for package in (ranktrack, numerics):
-        for name in package.__all__:
-            if name.startswith("__"):
-                continue
-            if (getattr(package, name).__module__, name) not in reads:
-                unused.append(f"{package.__name__}.{name}")
+    unused = [f"ranktrack.numerics.{name}" for name in numerics.__all__
+              if (getattr(numerics, name).__module__, name) not in reads]
     assert not unused, f"exported but never read by src/ or bench/: {unused}"
 
 
@@ -129,32 +124,68 @@ def _defaulted_params(tree: ast.AST) -> list[tuple[str, str, int | None]]:
     return found
 
 
+def _spreads(call: ast.Call) -> bool:
+    """Whether ``call`` spreads ``*args`` or ``**kwargs``, so that any
+    parameter may be passed or left out."""
+    return any(isinstance(a, ast.Starred) for a in call.args) \
+        or any(k.arg is None for k in call.keywords)
+
+
 def _passes(call: ast.Call, param: str, index: int | None) -> bool:
-    if any(k.arg in (param, None) for k in call.keywords):   # None: **kwargs
-        return True
-    if any(isinstance(a, ast.Starred) for a in call.args):
-        return True
-    return index is not None and len(call.args) > index
+    return _spreads(call) or any(k.arg == param for k in call.keywords) \
+        or (index is not None and len(call.args) > index)
 
 
-def _never_passed(sources: list[str], program: list[str]) -> list[str]:
+def _name(node: ast.AST) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _calls(program: list[str]) -> tuple[dict[str, list[ast.Call]], set[str]]:
+    """The program's calls by callee name, and the names that some call
+    takes as an argument (``_two_inputs(nm.conv2d, ...)``): such a function
+    is called elsewhere, with any of its defaults."""
     calls: dict[str, list[ast.Call]] = {}
+    passed = set()
     for text in program:
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                calls.setdefault(name, []).append(node)
-    return [f"{fn}({param})" for text in sources
-            for fn, param, index in _defaulted_params(ast.parse(text))
+                calls.setdefault(_name(node.func), []).append(node)
+                passed.update(_name(a) for a in node.args + [k.value for k in node.keywords]
+                              if isinstance(a, (ast.Name, ast.Attribute)))
+    return calls, passed
+
+
+def _defaults(sources: list[str]) -> list[tuple[str, str, int | None]]:
+    return [d for text in sources for d in _defaulted_params(ast.parse(text))]
+
+
+def _never_passed(sources: list[str], program: list[str]) -> list[str]:
+    calls, _ = _calls(program)
+    return [f"{fn}({param})" for fn, param, index in _defaults(sources)
             if not any(_passes(c, param, index) for c in calls.get(fn, []))]
 
 
-def test_every_defaulted_parameter_is_passed_by_the_program():
+def _never_omitted(sources: list[str], program: list[str]) -> list[str]:
+    calls, passed = _calls(program)
+    return [f"{fn}({param})" for fn, param, index in _defaults(sources)
+            if fn not in passed and not any(_spreads(c) or not _passes(c, param, index)
+                                            for c in calls.get(fn, []))]
+
+
+def _program() -> tuple[list[str], list[str]]:
+    """The ``ranktrack`` sources, and those plus ``bench/``'s."""
     sources = [p.read_text() for p in (ROOT / "src" / "ranktrack").glob("*.py")]
-    program = sources + [p.read_text() for p in (ROOT / "bench").glob("*.py")]
-    unpassed = _never_passed(sources, program)
+    return sources, sources + [p.read_text() for p in (ROOT / "bench").glob("*.py")]
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    unpassed = _never_passed(*_program())
     assert not unpassed, f"defaults that no call in src/ or bench/ overrides: {unpassed}"
+
+
+def test_every_default_is_relied_on_by_the_program():
+    unomitted = _never_omitted(*_program())
+    assert not unomitted, f"defaults that every call in src/ or bench/ overrides: {unomitted}"
 
 
 def test_never_passed_reads_positions_keywords_and_constructors():
@@ -168,3 +199,22 @@ def test_never_passed_reads_positions_keywords_and_constructors():
         ["f(b)", "f(c)", "K(y)", "m(z)"]
     assert _never_passed([source], [source + "f(1, 2, c=3)\nK(1, 2)\nk.m(z=4)\n"]) == []
     assert _never_passed([source], [source + "f(*args, **kw)\nK(1, **kw)\nk.m(*zs)\n"]) == []
+
+
+def test_never_omitted_reads_positions_keywords_spreads_and_passed_functions():
+    source = (
+        "def f(a, b=1, *, c=2): pass\n"
+        "def g(x=0): pass\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0): pass\n"
+        "    def m(self, z=3): pass\n"
+    )
+    program = source + "f(1, 2, c=3)\ng(x=1)\nK(1, 2)\nk.m(z=4)\n"   # every default passed
+
+    def omitted(calls: str) -> list[str]:
+        return _never_omitted([source], [program + calls])
+
+    assert omitted("") == ["f(b)", "f(c)", "g(x)", "K(y)", "m(z)"]
+    assert omitted("f(1, c=3)\nf(1, 2)\ng()\nK(x=1)\nk.m()\n") == []
+    assert omitted("f(*args)\nK(1, **kw)\n") == ["g(x)", "m(z)"]
+    assert omitted("apply(g, 1)\nrun(fn=k.m)\n") == ["f(b)", "f(c)", "K(y)"]

@@ -303,9 +303,9 @@ class TestCropPair:
     def test_out_of_range_index(self):
         seq = gen_sequence(SequenceSpec(seed=12, frames=2))
         with pytest.raises(IndexError):
-            crop_pair(seq, 5)
+            crop_pair(seq, 5, 64, 128)
         with pytest.raises(IndexError):
-            crop_pair(seq, -1)
+            crop_pair(seq, -1, 64, 128)
 
     def test_pair_is_template_plus_search(self):
         seq = gen_sequence(SequenceSpec(seed=14, frames=3))
