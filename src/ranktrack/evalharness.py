@@ -1,13 +1,13 @@
 """Tracking metrics and ranking diagnostics.
 
 Tracking quality uses overlap success AUC and center-distance precision.
-Ranking quality is probed on ground-truth-anchored crops (with a seeded
-jitter so the target is not parked at the crop center):
+Ranking quality is probed on crops sized from each frame's ground truth
+(with a seeded jitter so the target is not parked at the crop center):
 
 * rank consistency - fraction of frames whose globally best-scoring
   grid location falls on the target;
 * distractor margin - best target-location score minus best
-  distractor-location score, on post-softmax probabilities;
+  distractor-location score, on the loss's foreground probabilities;
 * Kendall tau between positive-location confidences and the IoUs of
   their decoded boxes, the quantity the IoU-guided ranking loss aligns.
 
@@ -114,7 +114,7 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         if cfg.eval_jitter > 0:
             cx += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
             cy += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
-        tf, probs, offsets, cell = pipeline.read_out(mp, template, seq.frames[t], seq.gt[0],
+        tf, probs, offsets, cell = pipeline.read_out(mp, template, seq.frames[t], seq.gt[t],
                                                      (cx, cy), cfg)
         gt_s = tf.to_crop(seq.gt[t])
         in_gt = gt_s.contains(px, py)

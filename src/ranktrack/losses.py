@@ -11,9 +11,10 @@ The two ranking terms are the interesting part:
   the lower-IoU side of each confidence-ordered pair held constant
   during backprop so the regressor is never rewarded for getting worse.
 
-Scores entering these losses are post-softmax foreground probabilities
-in [0, 1]; IoUs are differentiable through the box regression. Pair and
-threshold comparisons are strict, so ties contribute nothing.
+Scores entering these losses are foreground probabilities in [0, 1], exp
+of the class log-softmax that the cross-entropy reads (``class_log_probs``);
+IoUs are differentiable through the box regression. Pair and threshold
+comparisons are strict, so ties contribute nothing.
 """
 
 from __future__ import annotations
@@ -58,42 +59,38 @@ class RankBatch:
         return self.pos_scores.data.size
 
 
-def cross_entropy(a_cls: Tensor, labels: LabelMap) -> Tensor:
-    """Binary cross-entropy with separate positive/negative normalization.
+def class_log_probs(a_cls: Tensor) -> Tensor:
+    """The (2, H*W) log-softmax of a (2, H, W) class map: row 0 is log p_bg,
+    row 1 log p_fg. The loss, the hard negatives and the tracker all read
+    their confidences from this one map."""
+    if a_cls.data.ndim != 3 or a_cls.data.shape[0] != 2:
+        raise ValueError("expected a (2, H, W) class map")
+    return nm.reshape(nm.log_softmax(a_cls), (2, -1))
+
+
+def cross_entropy(logp: Tensor, labels: LabelMap) -> Tensor:
+    """Binary cross-entropy with separate positive/negative normalization,
+    on the ``class_log_probs`` map ``logp``.
 
     The positive term averages -log p_fg over positive locations with
     weight 1/N_pos, the negative term averages -log p_bg with weight
-    1/N_neg; ignore locations contribute nothing. Channel 0 is
-    background, channel 1 foreground.
+    1/N_neg; ignore locations contribute nothing.
     """
-    return _split_ce(a_cls, labels)[0]
-
-
-def _split_ce(a_cls: Tensor, labels: LabelMap) -> tuple[Tensor, Tensor, Tensor]:
-    """``cross_entropy`` and the flattened log-softmax maps (log p_bg,
-    log p_fg) it was built from."""
-    if a_cls.data.ndim != 3 or a_cls.data.shape[0] != 2:
-        raise ValueError("cross_entropy expects a (2, H, W) class map")
     n_pos, n_neg = labels.n_pos, labels.n_neg
     if n_pos == 0 and n_neg == 0:
         raise ValueError("cross_entropy with no labelled locations")
-
-    logp = nm.reshape(nm.log_softmax(a_cls), (2, -1))
-    logp_bg, logp_fg = logp[0], logp[1]
-
     loss = Tensor(0.0)
     if n_pos:
-        loss = nm.add(loss, nm.mul(nm.sum_(logp_fg[labels.pos_flat()]), -1.0 / n_pos))
+        loss = nm.add(loss, nm.mul(nm.sum_(logp[1, labels.pos_flat()]), -1.0 / n_pos))
     if n_neg:
-        loss = nm.add(loss, nm.mul(nm.sum_(logp_bg[labels.neg_flat()]), -1.0 / n_neg))
-    return loss, logp_bg, logp_fg
+        loss = nm.add(loss, nm.mul(nm.sum_(logp[0, labels.neg_flat()]), -1.0 / n_neg))
+    return loss
 
 
-def foreground_probs(a_cls: Tensor) -> Tensor:
-    """Flattened per-location foreground probability map."""
-    probs = nm.softmax(a_cls)
-    h, w = a_cls.data.shape[1:]
-    return nm.reshape(probs[1], (h * w,))
+def foreground_probs(logp: Tensor) -> Tensor:
+    """Flattened per-location foreground probability: exp of the
+    ``class_log_probs`` map's foreground row."""
+    return nm.exp(logp[1])
 
 
 def hard_negative_set(neg_scores: Tensor, tau_neg: float) -> np.ndarray:
@@ -222,34 +219,33 @@ def rank_iou_loss_ori(batch: RankBatch, alpha: float) -> Tensor:
     return nm.mean(per_pair)
 
 
-def two_stage_ce(a_cls: Tensor, labels: LabelMap, tau_neg: float) -> Tensor:
+def two_stage_ce(logp: Tensor, labels: LabelMap, hard_idx: np.ndarray) -> Tensor:
     """Cross-entropy plus a second pass restricted to hard negatives.
 
-    The second stage re-penalizes negatives whose foreground confidence
-    exceeds ``tau_neg`` (mean of -log p_bg over that subset). Both stages
-    and the choice of hard negatives read one log-softmax map. With no
-    hard negatives this is exactly ``cross_entropy``.
+    ``hard_idx`` indexes the hard negatives in ``labels.neg_flat()``, as the
+    rank plan's ``hard_idx`` does, so the second stage re-penalizes the
+    negatives that CR ranks against (mean of -log p_bg over that subset).
+    Both stages read the ``class_log_probs`` map ``logp``. With no hard
+    negatives this is exactly ``cross_entropy``.
     """
-    base, logp_bg, logp_fg = _split_ce(a_cls, labels)
-    neg_idx = labels.neg_flat()
-    hard = neg_idx[np.exp(logp_fg.data[neg_idx]) > tau_neg]
-    if hard.size == 0:
+    base = cross_entropy(logp, labels)
+    if hard_idx.size == 0:
         return base
-    return nm.add(base, nm.mul(nm.sum_(logp_bg[hard]), -1.0 / hard.size))
+    hard = labels.neg_flat()[hard_idx]
+    return nm.add(base, nm.mul(nm.sum_(logp[0, hard]), -1.0 / hard.size))
 
 
 @dataclass
 class LossBreakdown:
-    """One image's loss terms; ``total`` is the optimizable scalar and
-    ``plan`` the rank plan the terms were built with, when known."""
+    """One image's loss terms, their weighted ``total`` (``combine``) and the
+    rank plan they were built with."""
 
     cls: Tensor
     loc: Tensor
     rank_cls: Tensor
     rank_iou: Tensor
     total: Tensor
-    skipped_rank_cls: bool = False
-    plan: RankPlan | None = None
+    plan: RankPlan
 
     def floats(self) -> dict[str, float]:
         return {
@@ -261,8 +257,8 @@ class LossBreakdown:
         }
 
 
-def combine(cls, loc, rank_cls, rank_iou, *, skipped_rank_cls: bool = False,
-            weights: tuple[float, float, float] = DEFAULT_WEIGHTS) -> LossBreakdown:
+def combine(cls, loc, rank_cls, rank_iou, *,
+            weights: tuple[float, float, float] = DEFAULT_WEIGHTS) -> Tensor:
     """Weighted total: (cls + loc) * w0 + rank_cls * w1 + rank_iou * w2.
 
     Default weights keep the base objective dominant (1 : 0.5 : 0.25).
@@ -272,10 +268,6 @@ def combine(cls, loc, rank_cls, rank_iou, *, skipped_rank_cls: bool = False,
         if t.data.size != 1:
             raise ValueError("combine expects scalar loss parts")
     cls_t, loc_t, rc_t, ri_t = parts
-    if skipped_rank_cls and rc_t.item() != 0.0:
-        raise ValueError("skipped_rank_cls implies rank_cls == 0")
     w0, w1, w2 = weights
-    total = nm.add(nm.mul(nm.add(cls_t, loc_t), w0),
-                   nm.add(nm.mul(rc_t, w1), nm.mul(ri_t, w2)))
-    return LossBreakdown(cls=cls_t, loc=loc_t, rank_cls=rc_t, rank_iou=ri_t,
-                         total=total, skipped_rank_cls=skipped_rank_cls)
+    return nm.add(nm.mul(nm.add(cls_t, loc_t), w0),
+                  nm.add(nm.mul(rc_t, w1), nm.mul(ri_t, w2)))

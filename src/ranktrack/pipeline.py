@@ -14,6 +14,8 @@ a run is reproducible bit for bit.
 
 from __future__ import annotations
 
+import io
+import math
 import multiprocessing
 import os
 import signal
@@ -230,7 +232,7 @@ def forward(mp: ModelParams, template: np.ndarray | Tensor, search: np.ndarray,
     ``template`` is a raster or its features from ``embed``; the two give
     the same bits. Offsets are stride * exp(raw), so decoded boxes always
     have non-negative extents and a zero raw output means one stride unit;
-    class logits are softmaxed by consumers.
+    consumers read the class logits through ``losses.class_log_probs``.
     """
     fz = template if isinstance(template, Tensor) else embed(mp, template)
     fx = embed(mp, search)
@@ -254,10 +256,11 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
     was skipped or disabled).
 
     Returns None when the ground truth captures no positive grid
-    location (the sample cannot supervise regression). The rank terms
-    follow the configured switches; an image with no hard negatives
-    contributes rank_cls = 0 and is flagged skipped. The rank terms take
-    their hard negatives, pairs and frozen IoUs from ``plan``, by default
+    location (the sample cannot supervise regression). Every term reads one
+    class log-softmax, ``losses.class_log_probs``, and its exp. The rank
+    terms follow the configured switches; an image with no hard negatives
+    contributes rank_cls = 0 and no margin. Hard negatives (for CR and
+    ``two_stage_ce``), pairs and frozen IoUs come from ``plan``, by default
     a fresh ``losses.rank_plan`` of this evaluation; the breakdown's
     ``plan`` is the one used.
     """
@@ -265,9 +268,7 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
     if labels.n_pos == 0:
         return None
     a_cls, a_loc = forward(mp, template, search)
-
-    cls_term = (losses.two_stage_ce(a_cls, labels, cfg.tau_neg) if cfg.two_stage_ce
-                else losses.cross_entropy(a_cls, labels))
+    logp = losses.class_log_probs(a_cls)
 
     pos = labels.pos_flat()
     px, py = grid.pixel_xy()
@@ -277,35 +278,33 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
     v_iou = iou_tensor(x1, y1, x2, y2, gt)
     loc_term = nm.mean(nm.sub(1.0, v_iou))
 
-    p_fg = losses.foreground_probs(a_cls)
+    p_fg = losses.foreground_probs(logp)
     batch = losses.RankBatch(pos_scores=p_fg[pos], neg_scores=p_fg[labels.neg_flat()],
                              pos_ious=v_iou)
     if plan is None:
         plan = losses.rank_plan(batch, cfg.tau_neg)
 
-    rank_cls_term: Tensor | float = 0.0
-    skipped = False
-    margin: float | None = None
-    if cfg.rank_cls:
-        if plan.hard_idx.size == 0:
-            skipped = True
-        else:
-            p_plus, p_minus = losses.expectations(batch.pos_scores,
-                                                  batch.neg_scores[plan.hard_idx])
-            rank_cls_term = losses.rank_cls_loss(p_minus, p_plus, cfg.alpha, cfg.beta)
-            margin = p_plus.item() - p_minus.item()
+    cls_term = (losses.two_stage_ce(logp, labels, plan.hard_idx) if cfg.two_stage_ce
+                else losses.cross_entropy(logp, labels))
 
-    rank_iou_term: Tensor | float = 0.0
+    rank_cls_term = Tensor(0.0)
+    margin: float | None = None
+    if cfg.rank_cls and plan.hard_idx.size:
+        p_plus, p_minus = losses.expectations(batch.pos_scores,
+                                              batch.neg_scores[plan.hard_idx])
+        rank_cls_term = losses.rank_cls_loss(p_minus, p_plus, cfg.alpha, cfg.beta)
+        margin = p_plus.item() - p_minus.item()
+
+    rank_iou_term = Tensor(0.0)
     if cfg.rank_iou:
         rank_iou_term = losses.rank_iou_loss(batch, cfg.gamma, plan)
     elif cfg.rank_iou_ori:
         rank_iou_term = losses.rank_iou_loss_ori(batch, cfg.ori_alpha)
 
-    breakdown = losses.combine(cls_term, loc_term, rank_cls_term, rank_iou_term,
-                               skipped_rank_cls=skipped,
-                               weights=(cfg.w_rpn, cfg.w_rank_cls, cfg.w_rank_iou))
-    breakdown.plan = plan
-    return breakdown, margin
+    total = losses.combine(cls_term, loc_term, rank_cls_term, rank_iou_term,
+                           weights=(cfg.w_rpn, cfg.w_rank_cls, cfg.w_rank_iou))
+    return losses.LossBreakdown(cls_term, loc_term, rank_cls_term, rank_iou_term, total,
+                                plan), margin
 
 
 # -- training -------------------------------------------------------------------
@@ -358,10 +357,10 @@ def _draw_batch(cfg: TrainConfig, pool: list[synthdata.Sequence], sampler: Split
     search crop transform, ground truth in crop coordinates), drawn in turn
     from ``sampler``.
 
-    A draw picks a sequence and a frame and jitters the search center by up
-    to ``shift_aug``; it is kept when its ground truth captures a positive
-    grid cell. That depends on the crop's geometry alone, so no pixel is
-    cropped here. Drawing stops after ``10 * batch_size`` draws, so a batch
+    A draw picks a sequence and a frame, sizes the search crop from that
+    frame's box and jitters its center by up to ``shift_aug``; it is kept
+    when its ground truth captures a positive grid cell. That depends on
+    the crop's geometry alone, so no pixel is cropped here. Drawing stops after ``10 * batch_size`` draws, so a batch
     can come back short or empty.
     """
     batch: list[tuple[int, int, synthdata.CropTransform, Box]] = []
@@ -375,7 +374,7 @@ def _draw_batch(cfg: TrainConfig, pool: list[synthdata.Sequence], sampler: Split
         if cfg.shift_aug > 0:
             cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
             cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-        tf = synthdata.context_crop(seq.gt[0], (cx, cy), cfg.search_size / cfg.template_size,
+        tf = synthdata.context_crop(seq.gt[idx], (cx, cy), cfg.search_size / cfg.template_size,
                                     cfg.search_size)
         gt_s = tf.to_crop(seq.gt[idx])
         if assign_labels(grid, gt_s).n_pos > 0:
@@ -626,13 +625,15 @@ def save_checkpoint(mp: ModelParams, path: str) -> None:
 
 def load_checkpoint(path: str) -> ModelParams:
     """Read a ``save_checkpoint`` file. A damaged one, truncated, holding a
-    non-finite value or with bytes after its last tensor, raises ValueError."""
-    with open(path, "rb") as f:
+    non-finite value, with bytes after its last tensor or with a size field
+    that asks for more bytes than the file has left, raises ValueError."""
+    with open(path, "rb") as disk:
+        blob = disk.read()   # whole, so that the bytes left are known for a pipe too
+    with io.BytesIO(blob) as f:
         def read(n: int) -> bytes:
-            data = f.read(n)
-            if len(data) != n:
+            if n > len(blob) - f.tell():
                 raise ValueError(f"truncated checkpoint: {path}")
-            return data
+            return f.read(n)
 
         def u32s(count: int = 1) -> tuple[int, ...]:
             return struct.unpack(f"<{count}I", read(4 * count))
@@ -650,7 +651,8 @@ def load_checkpoint(path: str) -> ModelParams:
         for _ in range(u32s()[0]):
             name = read(u32s()[0]).decode()
             shape = u32s(u32s()[0])
-            data = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape)
+            # math.prod: np.prod wraps in int64 on a damaged shape
+            data = np.frombuffer(read(8 * math.prod(shape)), dtype="<f8").reshape(shape)
             if not np.isfinite(data).all():
                 raise ValueError(f"non-finite value in tensor {name!r} of checkpoint {path}")
             mp.params[name] = Tensor(data, requires_grad=True)
@@ -678,13 +680,16 @@ def read_out(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray, 
     """The model's reading of one frame, for tracking and scoring: the crop
     transform of ``anchor``'s search-size context square around ``center``,
     the (G, G) foreground probabilities and (4, G, G) side offsets on it, and
-    the (row, col) of the most confident cell. No cosine window re-scores it:
-    the ranking losses train confidence to rank the target first and in IoU
-    order. ``template`` is the template raster or its ``embed`` features."""
+    the (row, col) of the most confident cell. The probabilities are the
+    loss's, from ``losses.class_log_probs``, and no cosine window re-scores
+    them: the ranking losses train confidence to rank the target first and
+    in IoU order. ``template`` is the template raster or its ``embed``
+    features."""
     tf = synthdata.context_crop(anchor, center, cfg.search_size / cfg.template_size,
                                 cfg.search_size)
     a_cls, a_loc = forward(mp, template, tf.crop(frame))
-    probs = nm.softmax(a_cls).data[1]
+    g = a_cls.data.shape[1]
+    probs = losses.foreground_probs(losses.class_log_probs(a_cls)).data.reshape(g, g)
     r, c = (int(i) for i in np.unravel_index(int(np.argmax(probs)), probs.shape))
     return tf, probs, a_loc.data, (r, c)
 

@@ -27,10 +27,11 @@ dense raster, and rebuilds the painted bytes on every read.
 
 Every crop follows one rule, ``context_crop``: SiamFC's context square of
 a w x h box, side sqrt((w + m) * (h + m)) with m = 0.5 * (w + h), times
-search_size / template_size for a search region. The template and the
-training and scoring search crops take frame 0's box (CHANGES.md's CLOSED
-note on crop scales: generated targets keep their size); tracking takes
-the previous prediction, around its own centre.
+search_size / template_size for a search region. Each crop is sized from
+the box of the frame it crops, as in SiamFC: the template from frame 0's
+box, a training or scoring search crop from its own frame's box, so the
+target keeps the template's scale as it changes size. Tracking, which does
+not know the frame's box, sizes from the previous prediction.
 """
 
 from __future__ import annotations
@@ -381,13 +382,13 @@ def crop_template(seq: Sequence, template_size: int) -> np.ndarray:
 
 def crop_pair(seq: Sequence, index: int, template_size: int,
               search_size: int) -> tuple[np.ndarray, np.ndarray, Box, CropTransform]:
-    """Template (frame 0) and search (frame ``index``, centred on its target)
-    crops, the ground truth mapped into search coordinates, and the search
-    transform."""
+    """Template (frame 0) and search (frame ``index``, centred on its target
+    and sized from its box) crops, the ground truth mapped into search
+    coordinates, and the search transform."""
     if not (0 <= index < len(seq)):   # a negative index would wrap to a frame from the end
         raise IndexError("frame index out of range")
     gt = seq.gt[index]
-    tf = context_crop(seq.gt[0], gt.center, search_size / template_size, search_size)
+    tf = context_crop(gt, gt.center, search_size / template_size, search_size)
     return crop_template(seq, template_size), tf.crop(seq.frames[index]), tf.to_crop(gt), tf
 
 
@@ -459,7 +460,7 @@ def import_sequence(in_dir: str) -> Sequence:
     there, and such a box's extents, mapped into a crop, can overflow to
     infinity (a corner at 1e308 does). Inside that reach every coordinate
     the crop mappings compute stays within a few orders of magnitude of
-    the frame size. So is a target frame-0 box, which sizes the crops, whose
+    the frame size. So is a target box, which sizes its frame's crops, whose
     context square has side 0: a zero-size box, or one 1e-200 wide at 0."""
     names = sorted(n for n in os.listdir(in_dir) if n.startswith("frame_") and n.endswith(".ppm"))
     if not names:
@@ -493,8 +494,8 @@ def import_sequence(in_dir: str) -> Sequence:
             if min(box.x1, box.y1) < -reach or max(box.x2 - w, box.y2 - h) > reach:
                 raise ValueError(f"a box corner lies more than {BOX_REACH} frame sizes "
                                  f"outside the {w}x{h} frame")
-            if len(blocks) == 1 and t == 0 and context_crop(box, box.center, 1.0, 1).side == 0.0:
-                raise ValueError("the target's frame-0 box has a context square of side 0")
+            if len(blocks) == 1 and context_crop(box, box.center, 1.0, 1).side == 0.0:
+                raise ValueError(f"the target box of frame {t} has a context square of side 0")
             blocks[-1][t] = box
         except ValueError as e:
             raise ValueError(f"{ann_path}: line {lineno}: {e}") from None

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +226,9 @@ class TestBadSequenceDirs:
 # and the command error handling were rewritten; that rewrite keeps every byte.
 # manifest.txt was re-taken when the config lost its rank warm-up field: the
 # manifest echoes every field, so it lost that field's line and nothing else.
-# The checkpoint and run log did not move.
+# The checkpoint and run log did not move then; they moved in their last bits
+# when one class log-softmax fed the loss and its hard negatives, and again
+# when training crops were sized from their own frame's box.
 TRAIN_CONFIG = """# 64/128 dw, CR + IGR
 seed = 7
 template_size = 64
@@ -239,8 +242,8 @@ rank_iou = yes
 """
 TRAIN_ARTIFACT_GOLDENS = {
     "manifest.txt": "497e2057ad7e83cc17bcfc98d9d4e3d1f7c2ee6f13a574c5e3b3a81cae69cf9c",
-    "runlog.csv": "8ac5d86f7c878c2da95bc37c913e72788c9b73e50c06667367c526cceb99c626",
-    "checkpoint.bin": "fec2587bd971155d34c126dd36ea2657597fd9b0e2a1cf9ab428f06c33f447aa",
+    "runlog.csv": "901e9f261b0a2de75af1ee5955d72bc27e3004387935bf7741d22b984d606c62",
+    "checkpoint.bin": "921f07fe2857c5cdcb48c0f6eeb107951722f6a56ebcfc68a40a91e8aec91ad8",
 }
 SPEC_TEXTS = {
     "drawn": ("seed = 3\nframes = 2\nshape = ellipse\n", []),
@@ -308,15 +311,24 @@ CASE_TEXTS = {
     "other-scene": TINY_CONFIG + "similarity = 0.5\n",
     "other-seed": TINY_CONFIG + "seed = 8\n",
 }
-# how `eval`'s checkpoint, input.bin, is damaged: a weight set to a value, or
-# bytes appended
-DAMAGED_CHECKPOINTS = {"nan-weight": np.nan, "inf-weight": np.inf, "trailing-bytes": b"\0"}
+# how `eval`'s checkpoint, input.bin, is damaged: a weight set to a value,
+# bytes appended, or the size fields of its first tensor, bb1_w (16, 3, 2, 2),
+# rewritten: a shape of 60000**4 values, beyond int64, or 0xFFFFFFF0 dimensions
+BB1_W_SIZES = b"bb1_w" + struct.pack("<5I", 4, 16, 3, 2, 2)
+DAMAGED_CHECKPOINTS = {
+    "nan-weight": np.nan, "inf-weight": np.inf, "trailing-bytes": b"\0",
+    "huge-shape": lambda data: data.replace(
+        BB1_W_SIZES, b"bb1_w" + struct.pack("<5I", 4, *[60000] * 4), 1),
+    "huge-ndim": lambda data: data.replace(
+        BB1_W_SIZES, b"bb1_w" + struct.pack("<5I", 0xFFFFFFF0, 16, 3, 2, 2), 1),
+}
 # `eval --seqs` reads one exported sequence whose target block has this line
 # in place of the line of the frame it names, in annotations.txt
 ANNOTATION_LINES = {"far-box": "2 -1e308 10.0 1e308 40.0", "zero-box": "0 20.0 30.0 20.0 30.0",
-                    "underflowing-box": "0 0.0 0.0 1e-200 1e-200"}
+                    "underflowing-box": "0 0.0 0.0 1e-200 1e-200",
+                    "later-zero-box": "2 20.0 30.0 20.0 30.0"}
 ANNOTATIONS = Path("seqs") / "seq0" / "annotations.txt"
-ZERO_SIDE_BOX = "line 1: the target's frame-0 box has a context square of side 0"
+ZERO_SIDE_BOX = "line 1: the target box of frame 0 has a context square of side 0"
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
                               ("non-utf8", "codec can't decode"))] + [
@@ -338,8 +350,12 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("eval-trailing-bytes", cli.EXIT_CONFIG, "bytes after the last tensor, 'loc2_b', of checkpoint"),
     ("eval-far-box", cli.EXIT_CONFIG,
      "line 3: a box corner lies more than 100 frame sizes outside the 160x160 frame"),
+    ("eval-huge-shape", cli.EXIT_CONFIG, "truncated checkpoint"),
+    ("eval-huge-ndim", cli.EXIT_CONFIG, "truncated checkpoint"),
     ("eval-zero-box", cli.EXIT_CONFIG, ZERO_SIDE_BOX),
     ("eval-underflowing-box", cli.EXIT_CONFIG, ZERO_SIDE_BOX),
+    ("eval-later-zero-box", cli.EXIT_CONFIG,
+     "line 3: the target box of frame 2 has a context square of side 0"),
     ("train-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("ablation-in-channels-1", cli.EXIT_CONFIG, "field 'in_channels' must be 3"),
     ("train-negative-rank-weight", cli.EXIT_CONFIG, "field 'w_rank_cls' must be non-negative"),
@@ -388,6 +404,10 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         pipeline.save_checkpoint(mp, str(ckpt))
         if isinstance(damage, bytes):
             ckpt.write_bytes(ckpt.read_bytes() + damage)
+        elif callable(damage):
+            data = ckpt.read_bytes()
+            assert data.count(BB1_W_SIZES) == 1
+            ckpt.write_bytes(damage(data))
         extra = ["--checkpoint", str(ckpt)]
     if what in ANNOTATION_LINES:
         ann = tmp_path / ANNOTATIONS

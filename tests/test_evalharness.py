@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranktrack import evalharness, pipeline
+from ranktrack import evalharness, pipeline, synthdata
 from ranktrack import numerics as nm
 from ranktrack.evalharness import (
     MetricReport,
@@ -229,3 +229,44 @@ def test_evaluate_records_no_graph_and_leaves_the_parameters_alone(monkeypatch):
         f"{sum(recorded)} of {len(recorded)} op outputs recorded a node"
     after = {name: (t.data.tobytes(), t.grad.tobytes()) for name, t in mp.leaves()}
     assert after == before and all(t.requires_grad for _, t in mp.leaves())
+
+
+def test_every_search_crop_keeps_the_template_scale_as_the_target_doubles(tmp_path,
+                                                                           monkeypatch):
+    # An imported target that grows from 26 to 52 px over 10 frames. The
+    # template shows it at 32 px of 64, and so does every scoring crop,
+    # training draw and crop_pair search crop of 128, each sized from its own
+    # frame's box; sized from frame 0's box, frame 9 would show it at 64 px.
+    seq_dir = tmp_path / "seq"
+    synthdata.export_sequence(synthdata.gen_sequence(synthdata.SequenceSpec(seed=3, frames=10)),
+                              str(seq_dir))
+    sides = [26.0 * 2.0 ** (t / 9) for t in range(10)]
+    (seq_dir / "annotations.txt").write_text("".join(
+        f"{t} {80 - w / 2!r} {70 - w / 2!r} {80 + w / 2!r} {70 + w / 2!r}\n"
+        for t, w in enumerate(sides)))
+    seq = synthdata.import_sequence(str(seq_dir))
+    assert seq.gt[9].width == pytest.approx(52.0, rel=1e-12)
+    cfg = quick_config(eval_jitter=12.0, shift_aug=16.0)
+    grid = pipeline.head_grid(cfg)
+    gt0 = seq.gt[0]
+    template = synthdata.context_crop(gt0, gt0.center, 1.0, cfg.template_size).to_crop(gt0)
+    assert template.width == pytest.approx(32.0, rel=1e-12)
+
+    scored = []
+    read_out = pipeline.read_out
+
+    def spy(*args):
+        out = read_out(*args)
+        scored.append(out[0].to_crop(seq.gt[len(scored)]))
+        return out
+
+    monkeypatch.setattr(pipeline, "read_out", spy)
+    evalharness._scoring_pass(pipeline.init_params(cfg, SplitMix64(5)), seq, cfg, SplitMix64(1))
+    sampler = SplitMix64(2)
+    drawn = [gt_s for _ in range(20)
+             for _, _, _, gt_s in pipeline._draw_batch(cfg, [seq], sampler, grid)]
+    paired = [synthdata.crop_pair(seq, t, cfg.template_size, cfg.search_size)[2]
+              for t in range(len(seq))]
+    assert len(scored) == len(seq) and len(drawn) >= 40
+    for b in scored + drawn + paired:
+        assert (b.width, b.height) == pytest.approx((32.0, 32.0), rel=1e-12)

@@ -10,6 +10,7 @@ from ranktrack.geometry import LabelMap
 from ranktrack.losses import (
     LossBreakdown,
     RankBatch,
+    class_log_probs,
     combine,
     cross_entropy,
     expectations,
@@ -41,6 +42,19 @@ def labels_from_codes(codes):
     return LabelMap(cls=codes)
 
 
+def ce(a, labels):
+    """``cross_entropy`` of a (2, H, W) class map."""
+    return cross_entropy(class_log_probs(a), labels)
+
+
+def two_stage(a, labels, tau_neg):
+    """``two_stage_ce`` of a class map with the hard negatives of the rank
+    plan's rule: foreground probability strictly above ``tau_neg``."""
+    logp = class_log_probs(a)
+    hard = hard_negative_set(foreground_probs(logp)[labels.neg_flat()], tau_neg)
+    return two_stage_ce(logp, labels, hard)
+
+
 def logit_pair(p_fg):
     """(bg, fg) logits whose softmax foreground probability is p_fg."""
     return (0.0, math.log(p_fg / (1.0 - p_fg)))
@@ -52,12 +66,12 @@ class TestCrossEntropy:
         a[:, 0, 0] = (-20.0, 20.0)   # confident foreground at the positive
         a[:, 0, 1] = (20.0, -20.0)   # confident background at the negative
         labels = labels_from_codes([[1, 0]])
-        assert cross_entropy(Tensor(a), labels).item() < 1e-6
+        assert ce(Tensor(a), labels).item() < 1e-6
 
     def test_uniform_is_ln2_per_side(self):
         a = np.zeros((2, 1, 2))
         labels = labels_from_codes([[1, 0]])
-        assert cross_entropy(Tensor(a), labels).item() == pytest.approx(
+        assert ce(Tensor(a), labels).item() == pytest.approx(
             2 * math.log(2), abs=1e-12)
 
     def test_split_normalized_example(self):
@@ -66,7 +80,7 @@ class TestCrossEntropy:
         a[:, 0, 0] = logit_pair(0.8)
         a[:, 0, 1] = logit_pair(0.4)
         labels = labels_from_codes([[1, 0]])
-        got = cross_entropy(Tensor(a), labels).item()
+        got = ce(Tensor(a), labels).item()
         assert got == pytest.approx(0.2231435513142097 + 0.5108256237659907, abs=1e-12)
 
     def test_ignore_locations_excluded(self):
@@ -74,8 +88,8 @@ class TestCrossEntropy:
         a[:, 0, 0] = logit_pair(0.8)
         a[:, 0, 1] = logit_pair(0.4)
         a[:, 0, 2] = logit_pair(0.99)  # ignored, must not contribute
-        with_ignore = cross_entropy(Tensor(a), labels_from_codes([[1, 0, -1]])).item()
-        without = cross_entropy(Tensor(a[:, :, :2]), labels_from_codes([[1, 0]])).item()
+        with_ignore = ce(Tensor(a), labels_from_codes([[1, 0, -1]])).item()
+        without = ce(Tensor(a[:, :, :2]), labels_from_codes([[1, 0]])).item()
         assert with_ignore == pytest.approx(without, abs=1e-15)
 
     def test_split_normalization_weights(self):
@@ -84,16 +98,16 @@ class TestCrossEntropy:
         a[:, 0, 0] = logit_pair(0.8)
         a[:, 0, 1] = logit_pair(0.4)
         a[:, 0, 2] = logit_pair(0.4)
-        got = cross_entropy(Tensor(a), labels_from_codes([[1, 0, 0]])).item()
+        got = ce(Tensor(a), labels_from_codes([[1, 0, 0]])).item()
         assert got == pytest.approx(-math.log(0.8) - math.log(0.6), abs=1e-12)
 
     def test_no_labels_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy(Tensor(np.zeros((2, 1, 1))), labels_from_codes([[-1]]))
+            ce(Tensor(np.zeros((2, 1, 1))), labels_from_codes([[-1]]))
 
     def test_wrong_channel_count_rejected(self):
         with pytest.raises(ValueError):
-            cross_entropy(Tensor(np.zeros((3, 1, 1))), labels_from_codes([[1]]))
+            ce(Tensor(np.zeros((3, 1, 1))), labels_from_codes([[1]]))
 
 
 class TestHardNegativeSet:
@@ -311,12 +325,12 @@ class TestTwoStageCE:
 
     def test_no_hard_negatives_equals_plain(self):
         a, labels = self.build([0.8, 0.3], [1, 0])
-        assert two_stage_ce(a, labels, 0.5).item() == cross_entropy(a, labels).item()
+        assert two_stage(a, labels, 0.5).item() == ce(a, labels).item()
 
     def test_single_hard_negative_adds_frozen_term(self):
         a, labels = self.build([0.9, 0.8], [1, 0])
-        plain = cross_entropy(a, labels).item()
-        got = two_stage_ce(a, labels, 0.5).item()
+        plain = ce(a, labels).item()
+        got = two_stage(a, labels, 0.5).item()
         assert got == pytest.approx(plain + 1.6094379124341003, abs=1e-12)
 
     def test_saturated_correct_is_tiny(self):
@@ -324,11 +338,11 @@ class TestTwoStageCE:
         a[:, 0, 0] = (-20, 20)
         a[:, 0, 1] = (20, -20)
         labels = labels_from_codes([[1, 0]])
-        assert two_stage_ce(a := Tensor(a), labels, 0.5).item() < 1e-6
+        assert two_stage(a := Tensor(a), labels, 0.5).item() < 1e-6
 
     def test_one_log_softmax_serves_both_stages(self):
         a, labels = self.build([0.9, 0.8, 0.6, 0.2], [1, 0, 0, 0])
-        loss = two_stage_ce(Tensor(a.data, requires_grad=True), labels, 0.5)
+        loss = two_stage(Tensor(a.data, requires_grad=True), labels, 0.5)
         nodes, stack = {}, [loss]
         while stack:
             node = stack.pop()
@@ -339,8 +353,8 @@ class TestTwoStageCE:
 
     def test_second_stage_averages_over_hard_set(self):
         a, labels = self.build([0.9, 0.8, 0.6, 0.2], [1, 0, 0, 0])
-        got = two_stage_ce(a, labels, 0.5).item()
-        plain = cross_entropy(a, labels).item()
+        got = two_stage(a, labels, 0.5).item()
+        plain = ce(a, labels).item()
         extra = (-math.log(1 - 0.8) - math.log(1 - 0.6)) / 2
         assert got == pytest.approx(plain + extra, abs=1e-12)
 
@@ -348,24 +362,18 @@ class TestTwoStageCE:
 class TestCombine:
     def test_weighted_total(self):
         out = combine(0.7, 0.3, 0.2, 0.4)
-        assert out.total.item() == pytest.approx(1.2, abs=1e-15)
+        assert out.item() == pytest.approx(1.2, abs=1e-15)
 
     def test_rank_terms_zero(self):
         out = combine(0.9, 0.4, 0.0, 0.0)
-        assert out.total.item() == pytest.approx(1.3, abs=1e-15)
+        assert out.item() == pytest.approx(1.3, abs=1e-15)
 
     def test_all_zero(self):
-        assert combine(0.0, 0.0, 0.0, 0.0).total.item() == 0.0
-
-    def test_skip_flag_requires_zero_rank_cls(self):
-        out = combine(1.0, 1.0, 0.0, 0.0, skipped_rank_cls=True)
-        assert out.skipped_rank_cls and out.rank_cls.item() == 0.0
-        with pytest.raises(ValueError):
-            combine(1.0, 1.0, 0.5, 0.0, skipped_rank_cls=True)
+        assert combine(0.0, 0.0, 0.0, 0.0).item() == 0.0
 
     def test_custom_weights(self):
         out = combine(1.0, 1.0, 1.0, 1.0, weights=(2.0, 3.0, 5.0))
-        assert out.total.item() == pytest.approx(2 * 2 + 3 + 5, abs=1e-15)
+        assert out.item() == pytest.approx(2 * 2 + 3 + 5, abs=1e-15)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(Exception):
@@ -375,7 +383,7 @@ class TestCombine:
         cls = Tensor(0.5, requires_grad=True)
         ri = Tensor(0.2, requires_grad=True)
         out = combine(cls, 0.1, 0.0, ri)
-        backward(out.total)
+        backward(out)
         assert cls.grad == 1.0 and ri.grad == 0.25
 
 

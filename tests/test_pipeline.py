@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ranktrack import numerics as nm
-from ranktrack import cli, configio, pipeline, synthdata
+from ranktrack import cli, configio, losses, pipeline, synthdata
 from ranktrack.configio import ConfigError
 from ranktrack.geometry import Box, assign_labels, iou
 from ranktrack.pipeline import (
@@ -189,17 +189,73 @@ class TestImageLoss:
         expected = (out.cls.item() + out.loc.item()
                     + 0.5 * out.rank_cls.item() + 0.25 * out.rank_iou.item())
         assert out.total.item() == pytest.approx(expected, abs=1e-12)
-        if not out.skipped_rank_cls:
-            assert margin is not None
+        assert (margin is None) == (out.plan.hard_idx.size == 0)
 
     def test_skip_rule_flags_image_without_hard_negatives(self):
         cfg, mp, t, s, gt_s = self.setup_model(rank_cls=True)
         # bias the classifier head so every location scores ~0 foreground
         mp.params["cls2_b"].data[:] = np.array([[[12.0]], [[-12.0]]])
         out, margin = image_loss(cfg, mp, t, s, gt_s, head_grid(cfg))
-        assert out.skipped_rank_cls
+        assert out.plan.hard_idx.size == 0
         assert out.rank_cls.item() == 0.0
         assert margin is None
+
+    def test_one_class_log_softmax_feeds_every_confidence(self):
+        # two-stage CE, CR and IGR on, every negative hard: the graph holds one
+        # log-softmax and no softmax of the class map; the one softmax left is
+        # expectations' weighting of the hard negatives
+        cfg, mp, t, s, gt_s = self.setup_model(two_stage_ce=True, rank_cls=True, rank_iou=True,
+                                               tau_neg=0.0)
+        out, margin = image_loss(cfg, mp, t, s, gt_s, head_grid(cfg))
+        assert margin is not None and out.rank_iou.item() > 0.0
+        nodes, stack = {}, [out.total]
+        while stack:
+            node = stack.pop()
+            nodes[id(node)] = node
+            stack.extend(p for p in node._parents if p is not None and id(p) not in nodes)
+        assert [n._op for n in nodes.values()].count("log_softmax") == 1
+        assert [n.data.shape for n in nodes.values() if n._op == "softmax"] == \
+            [(out.plan.hard_idx.size,)]
+
+    def test_second_stage_cells_are_the_cr_hard_set(self, monkeypatch):
+        cfg, mp, t, s, gt_s = self.setup_model(two_stage_ce=True, rank_cls=True, tau_neg=0.499)
+        seen = {}
+        for name in ("two_stage_ce", "expectations"):
+            def spy(*args, fn=getattr(losses, name), name=name):
+                seen[name] = args
+                return fn(*args)
+            monkeypatch.setattr(losses, name, spy)
+        grid = head_grid(cfg)
+        out, _ = image_loss(cfg, mp, t, s, gt_s, grid)
+        neg = assign_labels(grid, gt_s).neg_flat()
+        logp, _, hard_idx = seen["two_stage_ce"]
+        assert hard_idx is out.plan.hard_idx and 0 < hard_idx.size < neg.size
+        p_fg = np.exp(logp.data[1])
+        cells = neg[hard_idx]
+        np.testing.assert_array_equal(cells, neg[p_fg[neg] > cfg.tau_neg])
+        assert seen["expectations"][1].data.tobytes() == p_fg[cells].tobytes()
+        second = -np.sum(logp.data[0, cells]) / cells.size
+        assert out.cls.item() == pytest.approx(
+            losses.cross_entropy(logp, assign_labels(grid, gt_s)).item() + second, abs=1e-12)
+
+    def test_read_out_reads_the_loss_probabilities(self, monkeypatch):
+        cfg = quick_config(rank_cls=True)
+        mp = init_params(cfg, SplitMix64(5))
+        seq = synthdata.gen_sequence(synthdata.SequenceSpec(seed=6, frames=3))
+        template, search, gt_s, tf = synthdata.crop_pair(seq, 1, 64, 128)
+        captured = []
+
+        def spy(logp, fn=losses.foreground_probs):
+            captured.append(fn(logp))
+            return captured[-1]
+
+        monkeypatch.setattr(losses, "foreground_probs", spy)
+        image_loss(cfg, mp, template, search, gt_s, head_grid(cfg))
+        p_fg = captured[0]
+        got_tf, probs, _, _ = pipeline.read_out(mp, template, seq.frames[1], seq.gt[1],
+                                                seq.gt[1].center, cfg)
+        assert got_tf == tf
+        assert probs.shape == (9, 9) and probs.tobytes() == p_fg.data.tobytes()
 
     def test_gt_off_grid_returns_none(self):
         cfg, mp, t, s, _ = self.setup_model()
@@ -329,7 +385,7 @@ def batch_mean_train(cfg: TrainConfig) -> tuple[ModelParams, list[LogRow], list[
             cx, cy = seq.gt[idx].center
             cx += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
             cy += sampler.uniform(-cfg.shift_aug, cfg.shift_aug)
-            tf = synthdata.context_crop(seq.gt[0], (cx, cy), cfg.search_size / cfg.template_size,
+            tf = synthdata.context_crop(seq.gt[idx], (cx, cy), cfg.search_size / cfg.template_size,
                                         cfg.search_size)
             result = image_loss(cfg, mp, templates[k], tf.crop(seq.frames[idx]),
                                 tf.to_crop(seq.gt[idx]), grid)

@@ -10,9 +10,10 @@ something else (``bytes.decode``) or a parameter of the same name read
 inside its function (``conv2d``'s ``relu=``). Ops that only the tests need
 live in ``tests/reference_ops.py``.
 
-Every defaulted parameter of a ``ranktrack`` function must be passed by
-some call in the program, or the default is a constant in disguise; and
-left out by some call in the program, or the default serves only tests.
+Every defaulted parameter of a ``ranktrack`` function, a dataclass's
+defaulted fields included, must be passed by some call in the program, or
+the default is a constant in disguise; and left out by some call in the
+program, or the default serves only tests.
 """
 
 import ast
@@ -93,15 +94,29 @@ def test_every_public_definition_is_used_by_the_program():
     assert not unused, f"defined but never read by src/ or bench/: {unused}"
 
 
+def _field_defaults(cls: ast.ClassDef) -> list[tuple[str, str, int]]:
+    """The defaulted fields of a dataclass, as parameters of its generated
+    ``__init__``: (class name, field, positional index)."""
+    fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+    return [(cls.name, s.target.id, i) for i, s in enumerate(fields)
+            if s.value is not None and not (
+                isinstance(s.value, ast.Call) and _name(s.value.func) == "field"
+                and not {"default", "default_factory"} & {k.arg for k in s.value.keywords})]
+
+
 def _defaulted_params(tree: ast.AST) -> list[tuple[str, str, int | None]]:
     """(callee name, parameter, positional index at the call or None for a
-    keyword-only one) of every parameter with a default. A method's index
-    leaves out ``self``, and ``__init__`` is called by its class name."""
+    keyword-only one) of every parameter with a default, a dataclass field's
+    included. A method's index leaves out ``self``, and ``__init__`` is
+    called by its class name."""
     found = []
 
     def visit(node, cls: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if any(_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                       for d in child.decorator_list):
+                    found.extend(_field_defaults(child))
                 visit(child, child.name)
                 continue
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -218,3 +233,21 @@ def test_never_omitted_reads_positions_keywords_spreads_and_passed_functions():
     assert omitted("f(1, c=3)\nf(1, 2)\ng()\nK(x=1)\nk.m()\n") == []
     assert omitted("f(*args)\nK(1, **kw)\n") == ["g(x)", "m(z)"]
     assert omitted("apply(g, 1)\nrun(fn=k.m)\n") == ["f(b)", "f(c)", "K(y)"]
+
+
+def test_dataclass_fields_are_constructor_parameters():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(repr=False)\n"
+        "class Plain:\n"
+        "    e: int = 4\n"
+    )
+    assert _never_passed([source], [source + "D(1, d=2)\nPlain()\n"]) == ["D(b)", "D(c)"]
+    assert _never_passed([source], [source + "D(1, 2, [], 5)\n"]) == []
+    assert _never_passed([source], [source + "D(1, 2, c=[], d=5)\n"]) == []
+    assert _never_omitted([source], [source + "D(1, 2, c=[], d=5)\n"]) == ["D(b)", "D(c)"]
+    assert _never_omitted([source], [source + "D(1, 2, c=[], d=5)\nD(1, d=5)\n"]) == []
