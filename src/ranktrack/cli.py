@@ -5,7 +5,8 @@ Exit codes are a stable contract, mapped in ``main`` alone: 0 success,
 training, 5 verification (gradient-check) failure. Every failure prints
 one ``error:`` line. An input that cannot be read or parsed (a config,
 spec, checkpoint or sequence directory) is a config problem, not an I/O
-failure. All randomness comes from config seeds, which ``--seed``
+failure, and so is a checkpoint whose model computes a non-finite value
+on frames in [0, 1]. All randomness comes from config seeds, which ``--seed``
 overrides for synth, train and ablation. Re-running any command over the
 same inputs rewrites byte-identical outputs.
 """
@@ -19,6 +20,7 @@ import sys
 
 from . import configio, evalharness, pipeline, synthdata
 from .configio import ConfigError
+from .numerics import NonFiniteError
 from .rng import SplitMix64
 
 EXIT_OK = 0
@@ -55,15 +57,27 @@ def _load(path: str, cls=None, seed: int | None = None):
         raise ConfigError(f"{path}: {e}") from None
 
 
-def _write_run(out_dir: str, cfg: pipeline.TrainConfig, config_text: str,
-               result: pipeline.TrainResult) -> None:
-    """The artifacts of one training run: manifest, checkpoint and run log."""
+def _train_run(out_dir: str, cfg: pipeline.TrainConfig,
+               config_text: str) -> pipeline.TrainResult:
+    """Train ``cfg`` into ``out_dir``: a diagnostic snapshot when training
+    diverges, otherwise the manifest, checkpoint and run log."""
+    os.makedirs(out_dir, exist_ok=True)
+    try:
+        result = pipeline.train(cfg)
+    except pipeline.DivergenceError as e:
+        snap_path = os.path.join(out_dir, "divergence.txt")
+        with contextlib.suppress(OSError):  # best effort: the error line still prints
+            with open(snap_path, "w") as f:
+                f.write(f"{e}\n{e.snapshot}\n")
+            print(f"diagnostic snapshot written to {snap_path}", file=sys.stderr)
+        raise
     kv = {"digest": configio.sha256_text(config_text), "out_dir": out_dir}
     kv.update(configio.to_kv(cfg))
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write(configio.format_kv(kv))
     pipeline.save_checkpoint(result.params, os.path.join(out_dir, "checkpoint.bin"))
     pipeline.write_run_log(result.log, os.path.join(out_dir, "runlog.csv"))
+    return result
 
 
 def _summary(report: evalharness.MetricReport) -> str:
@@ -84,17 +98,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     with _loading_inputs():
         config_text, cfg = _load(args.config, pipeline.TrainConfig, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    try:
-        result = pipeline.train(cfg)
-    except pipeline.DivergenceError as e:
-        snap_path = os.path.join(args.out, "divergence.txt")
-        with contextlib.suppress(OSError):  # best effort: the error line still prints
-            with open(snap_path, "w") as f:
-                f.write(f"{e}\n{e.snapshot}\n")
-            print(f"diagnostic snapshot written to {snap_path}", file=sys.stderr)
-        raise
-    _write_run(args.out, cfg, config_text, result)
+    result = _train_run(args.out, cfg, config_text)
     print(f"trained {cfg.iterations} iterations in {result.seconds:.1f}s; "
           f"final total {result.log[-1].total:.4f}")
     return EXIT_OK
@@ -128,7 +132,10 @@ def cmd_eval(args) -> int:
             seqs = [synthdata.import_sequence(os.path.join(args.seqs, d)) for d in names]
     if names is None:
         seqs = pipeline.eval_pool(cfg)
-    report = evalharness.evaluate(mp, seqs, cfg, names)
+    try:
+        report = evalharness.evaluate(mp, seqs, cfg, names)
+    except NonFiniteError as e:
+        raise ConfigError(f"checkpoint {args.checkpoint}: its weights overflow: {e}") from None
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.csv"), "w") as f:
         f.write(evalharness.report_csv(report))
@@ -178,13 +185,11 @@ def cmd_ablation(args) -> int:
     reports = {}
     seqs = pipeline.eval_pool(base)
     for arm_name, (config_text, cfg) in arms.items():
+        arm_dir = os.path.join(args.out, arm_name)
         try:
-            result = pipeline.train(cfg)
+            result = _train_run(arm_dir, cfg, config_text)
         except pipeline.DivergenceError as e:
             raise pipeline.DivergenceError(f"arm {arm_name}: {e}", e.snapshot) from None
-        arm_dir = os.path.join(args.out, arm_name)
-        os.makedirs(arm_dir, exist_ok=True)
-        _write_run(arm_dir, cfg, config_text, result)
         reports[arm_name] = report = evalharness.evaluate(result.params, seqs, cfg)
         with open(os.path.join(arm_dir, "metrics.csv"), "w") as f:
             f.write(evalharness.report_csv(report))

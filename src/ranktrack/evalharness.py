@@ -11,6 +11,9 @@ Ranking quality is probed on crops sized from each frame's ground truth
 * Kendall tau between positive-location confidences and the IoUs of
   their decoded boxes, the quantity the IoU-guided ranking loss aligns.
 
+A frame is read as the loss reads a crop: its label map marks the target,
+and the tau takes the (p_i, v_i) pairs that IGR ranks, ``pipeline.rank_batch``.
+
 Success thresholds are inclusive (iou >= t), so a perfect tracker
 scores exactly 1.0.
 """
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import numerics as nm
 from . import pipeline, synthdata
-from .geometry import Box, assign_labels, center_distance, decode_boxes, iou, iou_tensor
+from .geometry import NEGATIVE, Box, assign_labels, center_distance, iou
 from .rng import SplitMix64
 
 SUCCESS_THRESHOLDS = np.round(np.arange(0, 21) * 0.05, 2)
@@ -65,12 +68,10 @@ def kendall_tau(a, b) -> float:
     n = a.size
     if n < 2:
         raise ValueError("kendall_tau needs at least two items")
-    da = np.sign(a[:, None] - a[None, :])
-    db = np.sign(b[:, None] - b[None, :])
-    upper = np.triu_indices(n, k=1)
-    prod = da[upper] * db[upper]
-    concordant = int(np.sum(prod > 0))
-    discordant = int(np.sum(prod < 0))
+    # the sign products are symmetric and 0 on the diagonal: each pair twice
+    prod = np.sign(a[:, None] - a[None, :]) * np.sign(b[:, None] - b[None, :])
+    concordant = int(np.sum(prod > 0)) // 2
+    discordant = int(np.sum(prod < 0)) // 2
     return (concordant - discordant) / (n * (n - 1) / 2)
 
 
@@ -100,13 +101,12 @@ class MetricReport:
         return out
 
 
-def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
+def _scoring_pass(mp: pipeline.ModelParams, template: nm.Tensor, seq: synthdata.Sequence,
                   cfg: pipeline.TrainConfig, jitter_rng: SplitMix64,
                   ) -> tuple[float, float, float]:
-    """Ground-truth-anchored scoring diagnostics for one sequence."""
+    """Ground-truth-anchored scoring diagnostics for one sequence and its template."""
     grid = pipeline.head_grid(cfg)
-    px, py = grid.pixel_xy()
-    template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
+    px, py = (a.reshape(-1) for a in grid.pixel_xy())
     consistent, margins, taus = [], [], []
 
     for t in range(len(seq)):
@@ -114,25 +114,23 @@ def _scoring_pass(mp: pipeline.ModelParams, seq: synthdata.Sequence,
         if cfg.eval_jitter > 0:
             cx += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
             cy += jitter_rng.uniform(-cfg.eval_jitter, cfg.eval_jitter)
-        tf, probs, offsets, cell = pipeline.read_out(mp, template, seq.frames[t], seq.gt[t],
-                                                     (cx, cy), cfg)
+        tf, p_fg, offsets, cell = pipeline.read_out(mp, template, seq.frames[t], seq.gt[t],
+                                                    (cx, cy), cfg)
         gt_s = tf.to_crop(seq.gt[t])
-        in_gt = gt_s.contains(px, py)
-        consistent.append(in_gt[cell])
+        labels = assign_labels(grid, gt_s)
+        on_target = labels.cls.reshape(-1) != NEGATIVE
+        consistent.append(on_target[cell])
 
-        in_dist = np.zeros_like(in_gt)
+        in_dist = np.zeros_like(on_target)
         for db in seq.distractor_boxes[t]:
             in_dist |= tf.to_crop(db).contains(px, py)
-        in_dist &= ~in_gt
-        if in_gt.any() and in_dist.any():
-            margins.append(float(probs[in_gt].max() - probs[in_dist].max()))
+        in_dist &= ~on_target
+        if on_target.any() and in_dist.any():
+            margins.append(float(p_fg.data[on_target].max() - p_fg.data[in_dist].max()))
 
-        pos = assign_labels(grid, gt_s).pos_flat()
-        if pos.size >= 2:
-            p_vec = probs.reshape(-1)[pos]
-            # the loss's IoU of each positive's decoded box, v_i, without its graph
-            ious = iou_tensor(*decode_boxes(px.reshape(-1)[pos], py.reshape(-1)[pos],
-                                            offsets.reshape(4, -1)[:, pos]), gt_s).data
+        if labels.n_pos >= 2:
+            batch = pipeline.rank_batch(grid, labels, p_fg, offsets, gt_s)
+            p_vec, ious = batch.pos_scores.data, batch.pos_ious.data
             if len(set(p_vec.tolist())) > 1 and len(set(ious.tolist())) > 1:
                 taus.append(kendall_tau(p_vec, ious))
 
@@ -159,9 +157,10 @@ def evaluate(mp: pipeline.ModelParams, seqs: list[synthdata.Sequence],
     jitter_master = SplitMix64(cfg.eval_seed).spawn(pipeline._DOM_JITTER)
     per_seq, predictions = [], []
     for i, seq in enumerate(seqs):
-        preds = pipeline.track(mp, seq, cfg)
+        template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
+        preds = pipeline.track(mp, template, seq, cfg)
         predictions.append(preds)
-        cons, margin, tau = _scoring_pass(mp, seq, cfg, jitter_master.spawn(i))
+        cons, margin, tau = _scoring_pass(mp, template, seq, cfg, jitter_master.spawn(i))
         per_seq.append(SequenceMetrics(
             name=names[i] if names else f"seq{i:03d}",
             success_auc=success_auc(preds, seq.gt),

@@ -127,11 +127,14 @@ class HeadGrid:
     def centered(cls, search_size: int, size: int, stride: float) -> "HeadGrid":
         return cls(size=size, stride=stride, offset=0.5 * (search_size - (size - 1) * stride))
 
+    def cell_xy(self, flat):
+        """Pixel coordinates (x, y) of the locations at row-major indices ``flat``."""
+        row, col = np.divmod(flat, self.size)
+        return self.offset + self.stride * col, self.offset + self.stride * row
+
     def pixel_xy(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-location pixel coordinates, each shaped (size, size)."""
-        p = self.offset + self.stride * np.arange(self.size)
-        return np.broadcast_to(p, (self.size, self.size)).copy(), \
-            np.broadcast_to(p[:, None], (self.size, self.size)).copy()
+        return self.cell_xy(np.arange(self.size * self.size).reshape(self.size, self.size))
 
 
 POSITIVE, NEGATIVE, IGNORE = 1, 0, -1

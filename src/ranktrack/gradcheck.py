@@ -32,6 +32,12 @@ END_TO_END_WEIGHTS = 20   # weights the end-to-end check perturbs
 END_TO_END_STEP = 1e-5
 POINTS = 10
 
+# the end-to-end check's config; every loss check reads its hyperparameters
+_CFG = pipeline.TrainConfig(seed=5, template_size=64, search_size=128,
+                            rank_cls=True, rank_iou=True, iterations=1,
+                            train_sequences=2, frames_per_sequence=3,
+                            eval_sequences=1, eval_frames=2)
+
 
 def _uniform_array(rng: SplitMix64, shape, lo=-1.0, hi=1.0) -> np.ndarray:
     n = int(np.prod(shape))
@@ -108,7 +114,7 @@ def _expectations(r: SplitMix64) -> float:
 
 def _rank_cls_loss(r: SplitMix64) -> float:
     x = Tensor(np.array([r.uniform(0, 1), r.uniform(0, 1)]))
-    return finite_diff_check(lambda t: losses.rank_cls_loss(t[0], t[1], alpha=0.5, beta=4.0), x)
+    return finite_diff_check(lambda t: losses.rank_cls_loss(t[0], t[1], _CFG.alpha, _CFG.beta), x)
 
 
 def _rank_point(r: SplitMix64) -> tuple[int, Tensor]:
@@ -125,48 +131,45 @@ def _pos_batch(x: Tensor, n: int) -> losses.RankBatch:
 
 def _rank_iou_loss(r: SplitMix64) -> float:
     n, x0 = _rank_point(r)
-    plan = losses.rank_plan(_pos_batch(x0, n))
+    plan = losses.rank_plan(_pos_batch(x0, n), _CFG.tau_neg)
     return finite_diff_check(
-        lambda x: losses.rank_iou_loss(_pos_batch(x, n), 3.0, plan), x0, step=1e-6)
+        lambda x: losses.rank_iou_loss(_pos_batch(x, n), _CFG.gamma, plan), x0, step=1e-6)
 
 
 def _rank_iou_loss_ori(r: SplitMix64) -> float:
     n, x0 = _rank_point(r)
     return finite_diff_check(
-        lambda x: losses.rank_iou_loss_ori(_pos_batch(x, n), alpha=4.0), x0, step=1e-6)
+        lambda x: losses.rank_iou_loss_ori(_pos_batch(x, n), _CFG.ori_alpha), x0, step=1e-6)
 
 
 def _combine(r: SplitMix64) -> float:
     x = Tensor(np.array([r.uniform(0, 2) for _ in range(4)]))
-    return finite_diff_check(lambda t: losses.combine(t[0], t[1], t[2], t[3]), x)
+    weights = (_CFG.w_rpn, _CFG.w_rank_cls, _CFG.w_rank_iou)
+    return finite_diff_check(lambda t: losses.combine(t[0], t[1], t[2], t[3], weights=weights), x)
 
 
 # -- end-to-end -----------------------------------------------------------------
 
 def end_to_end_error(rng: SplitMix64) -> float:
     """Central-difference check of the training loss, ``pipeline.image_loss``
-    with every loss switched on, against its recorded gradients, on a
-    random sample of ``END_TO_END_WEIGHTS`` weights at a random init.
+    of ``_CFG`` with CR and IGR switched on, against its recorded gradients,
+    on a random sample of ``END_TO_END_WEIGHTS`` weights at a random init.
 
     The IoU-ranking term keeps the freeze convention: every perturbed
     evaluation gets the base evaluation's rank plan (otherwise the
     intentionally-dropped gradient term would register as an error).
     """
-    cfg = pipeline.TrainConfig(seed=5, template_size=64, search_size=128,
-                               rank_cls=True, rank_iou=True, iterations=1,
-                               train_sequences=2, frames_per_sequence=3,
-                               eval_sequences=1, eval_frames=2)
-    cfg.validate()
-    seq = pipeline.training_pool(cfg)[0]
-    template, search, gt_s, _ = synthdata.crop_pair(seq, 1, cfg.template_size,
-                                                    cfg.search_size)
-    grid = pipeline.head_grid(cfg)
-    mp = pipeline.init_params(cfg, rng.spawn(7))
+    _CFG.validate()
+    seq = pipeline.training_pool(_CFG)[0]
+    template, search, gt_s, _ = synthdata.crop_pair(seq, 1, _CFG.template_size,
+                                                    _CFG.search_size)
+    grid = pipeline.head_grid(_CFG)
+    mp = pipeline.init_params(_CFG, rng.spawn(7))
     if assign_labels(grid, gt_s).n_pos < 2:
         raise RuntimeError("end-to-end check needs >= 2 positive locations")
 
     def loss(plan=None) -> losses.LossBreakdown:
-        return pipeline.image_loss(cfg, mp, template, search, gt_s, grid, plan=plan)[0]
+        return pipeline.image_loss(_CFG, mp, template, search, gt_s, grid, plan=plan)[0]
 
     base = loss()
     nm.backward(base.total)

@@ -27,9 +27,6 @@ from . import numerics as nm
 from .geometry import LabelMap
 from .numerics import Tensor
 
-DEFAULT_TAU_NEG = 0.5   # confidence above which a negative counts as hard
-DEFAULT_WEIGHTS = (1.0, 0.5, 0.25)
-
 
 @dataclass
 class RankBatch:
@@ -159,8 +156,8 @@ class RankPlan:
     frozen_v: np.ndarray
 
 
-def rank_plan(batch: RankBatch, tau_neg: float = DEFAULT_TAU_NEG) -> RankPlan:
-    """``batch``'s own plan; negatives strictly above ``tau_neg`` are hard."""
+def rank_plan(batch: RankBatch, tau_neg: float) -> RankPlan:
+    """``batch``'s own plan; negatives strictly above the config's ``tau_neg`` are hard."""
     v = batch.pos_ious.data
     conf_pairs = _pair_indices(batch.pos_scores.data)
     return RankPlan(hard_idx=hard_negative_set(batch.neg_scores, tau_neg),
@@ -180,7 +177,7 @@ def rank_iou_loss(batch: RankBatch, gamma: float, plan: RankPlan) -> Tensor:
     (treated as a constant during backprop) and only v_i is optimized;
     otherwise the loss could be lowered by degrading the j-th box.
     Strict comparisons: tied pairs contribute to neither sum. The pairs
-    and frozen values come from ``plan``, such as ``rank_plan(batch)``.
+    and frozen values come from ``plan``, such as ``rank_plan(batch, tau_neg)``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be > 0")
@@ -257,12 +254,10 @@ class LossBreakdown:
         }
 
 
-def combine(cls, loc, rank_cls, rank_iou, *,
-            weights: tuple[float, float, float] = DEFAULT_WEIGHTS) -> Tensor:
-    """Weighted total: (cls + loc) * w0 + rank_cls * w1 + rank_iou * w2.
-
-    Default weights keep the base objective dominant (1 : 0.5 : 0.25).
-    """
+def combine(cls, loc, rank_cls, rank_iou, *, weights: tuple[float, float, float]) -> Tensor:
+    """Weighted total: (cls + loc) * w0 + rank_cls * w1 + rank_iou * w2, with
+    ``weights`` the config's (w_rpn, w_rank_cls, w_rank_iou); the default
+    config keeps the base objective dominant (1 : 0.5 : 0.25)."""
     parts = [nm._as_tensor(t) for t in (cls, loc, rank_cls, rank_iou)]
     for t in parts:
         if t.data.size != 1:

@@ -28,7 +28,7 @@ import numpy as np
 from . import configio, correlation, losses, synthdata
 from . import numerics as nm
 from .configio import ConfigError
-from .geometry import Box, HeadGrid, assign_labels, decode_boxes, iou_tensor
+from .geometry import Box, HeadGrid, LabelMap, assign_labels, decode_boxes, iou_tensor
 from .numerics import Tensor
 from .rng import SplitMix64
 
@@ -197,12 +197,8 @@ def init_params(cfg: TrainConfig, rng: SplitMix64) -> ModelParams:
     """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per layer."""
     mp = ModelParams(corr_mode=cfg.corr_mode, in_channels=cfg.in_channels)
     for name, shape in _conv_shapes(cfg):
-        if name.endswith("_w"):
-            fan_in = int(np.prod(shape[1:]))
-        else:
-            wshape = dict(_conv_shapes(cfg))[name[:-2] + "_w"]
-            fan_in = int(np.prod(wshape[1:]))
-        bound = 1.0 / np.sqrt(fan_in)
+        if name.endswith("_w"):  # each bias follows its weight and shares its fan-in
+            bound = 1.0 / np.sqrt(int(np.prod(shape[1:])))
         flat = np.fromiter((rng.uniform(-bound, bound) for _ in range(int(np.prod(shape)))),
                            dtype=np.float64, count=int(np.prod(shape)))
         mp.params[name] = Tensor(flat.reshape(shape), requires_grad=True)
@@ -247,6 +243,18 @@ def forward(mp: ModelParams, template: np.ndarray | Tensor, search: np.ndarray,
 
 # -- per-image loss -------------------------------------------------------------
 
+def rank_batch(grid: HeadGrid, labels: LabelMap, p_fg: Tensor, offsets: Tensor,
+               gt: Box) -> losses.RankBatch:
+    """One crop as training and the scoring diagnostics read it: ``p_fg`` of
+    ``labels``' positive and negative cells, and v_i, the IoU with ``gt`` of
+    each positive cell's box decoded from its (4, G*G) side ``offsets``."""
+    pos = labels.pos_flat()
+    px, py = grid.cell_xy(pos)
+    boxes = decode_boxes(Tensor(px), Tensor(py), [offsets[k, pos] for k in range(4)])
+    return losses.RankBatch(pos_scores=p_fg[pos], neg_scores=p_fg[labels.neg_flat()],
+                            pos_ious=iou_tensor(*boxes, gt))
+
+
 def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
                search: np.ndarray, gt: Box, grid: HeadGrid,
                plan: losses.RankPlan | None = None,
@@ -257,30 +265,21 @@ def image_loss(cfg: TrainConfig, mp: ModelParams, template: np.ndarray,
 
     Returns None when the ground truth captures no positive grid
     location (the sample cannot supervise regression). Every term reads one
-    class log-softmax, ``losses.class_log_probs``, and its exp. The rank
-    terms follow the configured switches; an image with no hard negatives
-    contributes rank_cls = 0 and no margin. Hard negatives (for CR and
-    ``two_stage_ce``), pairs and frozen IoUs come from ``plan``, by default
-    a fresh ``losses.rank_plan`` of this evaluation; the breakdown's
-    ``plan`` is the one used.
+    class log-softmax, ``losses.class_log_probs``, or the crop's ``rank_batch``
+    of its exp. The rank terms follow the configured switches; an image with
+    no hard negatives contributes rank_cls = 0 and no margin. Hard negatives
+    (for CR and ``two_stage_ce``), pairs and frozen IoUs come from ``plan``,
+    by default a fresh ``losses.rank_plan`` of this evaluation; the
+    breakdown's ``plan`` is the one used.
     """
     labels = assign_labels(grid, gt)
     if labels.n_pos == 0:
         return None
     a_cls, a_loc = forward(mp, template, search)
     logp = losses.class_log_probs(a_cls)
-
-    pos = labels.pos_flat()
-    px, py = grid.pixel_xy()
-    offs = nm.reshape(a_loc, (4, grid.size * grid.size))
-    x1, y1, x2, y2 = decode_boxes(Tensor(px.reshape(-1)[pos]), Tensor(py.reshape(-1)[pos]),
-                                  [offs[k][pos] for k in range(4)])
-    v_iou = iou_tensor(x1, y1, x2, y2, gt)
-    loc_term = nm.mean(nm.sub(1.0, v_iou))
-
-    p_fg = losses.foreground_probs(logp)
-    batch = losses.RankBatch(pos_scores=p_fg[pos], neg_scores=p_fg[labels.neg_flat()],
-                             pos_ious=v_iou)
+    batch = rank_batch(grid, labels, losses.foreground_probs(logp),
+                       nm.reshape(a_loc, (4, -1)), gt)
+    loc_term = nm.mean(nm.sub(1.0, batch.pos_ious))
     if plan is None:
         plan = losses.rank_plan(batch, cfg.tau_neg)
 
@@ -676,46 +675,40 @@ def check_params(mp: ModelParams, cfg: TrainConfig) -> None:
 
 def read_out(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray, anchor: Box,
              center: tuple[float, float], cfg: TrainConfig,
-             ) -> tuple[synthdata.CropTransform, np.ndarray, np.ndarray, tuple[int, int]]:
-    """The model's reading of one frame, for tracking and scoring: the crop
+             ) -> tuple[synthdata.CropTransform, Tensor, Tensor, int]:
+    """The model's reading of one frame in the loss's layout: the crop
     transform of ``anchor``'s search-size context square around ``center``,
-    the (G, G) foreground probabilities and (4, G, G) side offsets on it, and
-    the (row, col) of the most confident cell. The probabilities are the
-    loss's, from ``losses.class_log_probs``, and no cosine window re-scores
-    them: the ranking losses train confidence to rank the target first and
-    in IoU order. ``template`` is the template raster or its ``embed``
-    features."""
+    the (G*G,) foreground probabilities and (4, G*G) side offsets on it, and
+    the flat index of the most confident cell. The probabilities are the
+    loss's, and no cosine window re-scores them: the ranking losses train
+    confidence to rank the target first and in IoU order. ``template`` is
+    the template raster or its ``embed`` features."""
     tf = synthdata.context_crop(anchor, center, cfg.search_size / cfg.template_size,
                                 cfg.search_size)
     a_cls, a_loc = forward(mp, template, tf.crop(frame))
-    g = a_cls.data.shape[1]
-    probs = losses.foreground_probs(losses.class_log_probs(a_cls)).data.reshape(g, g)
-    r, c = (int(i) for i in np.unravel_index(int(np.argmax(probs)), probs.shape))
-    return tf, probs, a_loc.data, (r, c)
+    p_fg = losses.foreground_probs(losses.class_log_probs(a_cls))
+    return tf, p_fg, nm.reshape(a_loc, (4, -1)), int(np.argmax(p_fg.data))
 
 
 def track_step(mp: ModelParams, template: np.ndarray | Tensor, frame: np.ndarray,
                prev: Box, cfg: TrainConfig) -> tuple[tuple[int, int], Box]:
-    """``read_out`` of ``frame`` around ``prev``; returns its cell and that
-    cell's decoded box in image coordinates, clamped to the frame. A
-    degenerate box is replaced by ``prev``."""
-    tf, _, offsets, (r, c) = read_out(mp, template, frame, prev, prev.center, cfg)
+    """``read_out`` of ``frame`` around ``prev``; returns its (row, col) cell
+    and that cell's decoded box in image coordinates, clamped to the frame.
+    A degenerate box is replaced by ``prev``."""
+    tf, _, offsets, cell = read_out(mp, template, frame, prev, prev.center, cfg)
     grid = head_grid(cfg)
-    # the chosen cell's pixel alone, with the bytes of grid.pixel_xy()[r, c]
-    box_search = Box(*decode_boxes(grid.offset + grid.stride * c,
-                                   grid.offset + grid.stride * r, offsets[:, r, c]))
+    box_search = Box(*decode_boxes(*grid.cell_xy(cell), offsets.data[:, cell]))
     h_img, w_img = frame.shape[1:]
     box = tf.to_image(box_search).clipped(float(w_img), float(h_img))
     if box.area <= 0.0:  # degenerate prediction: hold the previous box
         box = prev
-    return (r, c), box
+    return divmod(cell, grid.size), box
 
 
-def track(mp: ModelParams, seq: synthdata.Sequence, cfg: TrainConfig) -> list[Box]:
-    """Frame-by-frame ``track_step`` from the first-frame ground truth. The
-    template is embedded once per sequence, so a frame costs one search crop
-    and one search forward."""
-    template = embed(mp, synthdata.crop_template(seq, cfg.template_size))
+def track(mp: ModelParams, template: Tensor, seq: synthdata.Sequence, cfg: TrainConfig,
+          ) -> list[Box]:
+    """Frame-by-frame ``track_step`` from the first-frame ground truth, on
+    ``template``, the ``embed`` features of ``seq``'s template crop."""
     preds = [seq.gt[0]]
     for t in range(1, len(seq)):
         _, box = track_step(mp, template, seq.frames[t], preds[-1], cfg)

@@ -17,7 +17,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ranktrack import pipeline
+from ranktrack import pipeline, synthdata
 
 RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
@@ -76,5 +76,6 @@ def test_track_pool_follows_pipeline_track(bench):
     assert len(frame_ms) == sum(len(seq) - 1 for seq in setup.eval_seqs)
     assert all(ms >= 0.0 for ms in frame_ms)
     for boxes, seq in zip(tracks, setup.eval_seqs, strict=True):
-        want = pipeline.track(mp, seq, cfg)
+        template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
+        want = pipeline.track(mp, template, seq, cfg)
         assert np.array(boxes).tobytes() == np.array([b.as_array() for b in want]).tobytes()

@@ -16,9 +16,9 @@ def test_eval_tracks_each_sequence_once(tmp_path, monkeypatch):
     calls = []
     track = pipeline.track
 
-    def counting_track(mp, seq, cfg, *args, **kwargs):
+    def counting_track(mp, template, seq, cfg):
         calls.append(seq)
-        return track(mp, seq, cfg, *args, **kwargs)
+        return track(mp, template, seq, cfg)
 
     monkeypatch.setattr(pipeline, "track", counting_track)
     cfg = quick_config(eval_sequences=3, eval_frames=4)
@@ -311,12 +311,15 @@ CASE_TEXTS = {
     "other-scene": TINY_CONFIG + "similarity = 0.5\n",
     "other-seed": TINY_CONFIG + "seed = 8\n",
 }
-# how `eval`'s checkpoint, input.bin, is damaged: a weight set to a value,
-# bytes appended, or the size fields of its first tensor, bb1_w (16, 3, 2, 2),
-# rewritten: a shape of 60000**4 values, beyond int64, or 0xFFFFFFF0 dimensions
+# how `eval`'s checkpoint, input.bin, is damaged: the second value of a
+# weight set (a non-finite value, or a finite loc2_b that overflows the
+# offsets' exp), bytes appended, or the size fields of its first tensor,
+# bb1_w (16, 3, 2, 2), rewritten: a shape of 60000**4 values, beyond int64,
+# or 0xFFFFFFF0 dimensions
 BB1_W_SIZES = b"bb1_w" + struct.pack("<5I", 4, 16, 3, 2, 2)
 DAMAGED_CHECKPOINTS = {
-    "nan-weight": np.nan, "inf-weight": np.inf, "trailing-bytes": b"\0",
+    "nan-weight": ("cls2_b", np.nan), "inf-weight": ("cls2_b", np.inf),
+    "overflowing-weight": ("loc2_b", 1e3), "trailing-bytes": b"\0",
     "huge-shape": lambda data: data.replace(
         BB1_W_SIZES, b"bb1_w" + struct.pack("<5I", 4, *[60000] * 4), 1),
     "huge-ndim": lambda data: data.replace(
@@ -348,6 +351,8 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("eval-nan-weight", cli.EXIT_CONFIG, "non-finite value in tensor 'cls2_b' of checkpoint"),
     ("eval-inf-weight", cli.EXIT_CONFIG, "non-finite value in tensor 'cls2_b' of checkpoint"),
     ("eval-trailing-bytes", cli.EXIT_CONFIG, "bytes after the last tensor, 'loc2_b', of checkpoint"),
+    ("eval-overflowing-weight", cli.EXIT_CONFIG,
+     "its weights overflow: exp produced a non-finite value"),
     ("eval-far-box", cli.EXIT_CONFIG,
      "line 3: a box corner lies more than 100 frame sizes outside the 160x160 frame"),
     ("eval-huge-shape", cli.EXIT_CONFIG, "truncated checkpoint"),
@@ -371,6 +376,8 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("train-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("ablation-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-diverges", cli.EXIT_DIVERGED, "training diverged: non-finite loss at iteration 1:"),
+    ("ablation-diverges", cli.EXIT_DIVERGED,
+     "training diverged: arm cr: non-finite loss at iteration 1:"),
 ]
 
 
@@ -399,8 +406,9 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         damage, ckpt = DAMAGED_CHECKPOINTS.get(what), tmp_path / "input.bin"
         cfg = configio.from_kv(pipeline.TrainConfig, configio.parse_kv(TINY_CONFIG))
         mp = pipeline.init_params(cfg, SplitMix64(5))
-        if isinstance(damage, float):
-            mp.params["cls2_b"].data[1, 0, 0] = damage
+        if isinstance(damage, tuple):
+            name, value = damage
+            mp.params[name].data.reshape(-1)[1] = value
         pipeline.save_checkpoint(mp, str(ckpt))
         if isinstance(damage, bytes):
             ckpt.write_bytes(ckpt.read_bytes() + damage)
@@ -433,8 +441,9 @@ def test_exit_codes(tmp_path, capsys, case, code, text):
         named = ("input.bin" if what in DAMAGED_CHECKPOINTS
                  else ANNOTATIONS if what in ANNOTATION_LINES else "input.cfg")
         assert str(tmp_path / named) in errors[0], "the error names the input file"
-    if code == cli.EXIT_DIVERGED:
-        assert (tmp_path / "out" / "divergence.txt").read_text().startswith(
+    if code == cli.EXIT_DIVERGED:  # ablation's diverging arm is the second, cr
+        run_dir = tmp_path / "out" / ("cr" if case.startswith("ablation") else "")
+        assert (run_dir / "divergence.txt").read_text().startswith(
             "non-finite loss at iteration 1:")
 
 

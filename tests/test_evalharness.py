@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ranktrack import evalharness, pipeline, synthdata
+from ranktrack import evalharness, losses, pipeline, synthdata
 from ranktrack import numerics as nm
 from ranktrack.evalharness import (
     MetricReport,
@@ -18,7 +18,7 @@ from ranktrack.evalharness import (
     success_auc,
     success_curve,
 )
-from ranktrack.geometry import Box
+from ranktrack.geometry import NEGATIVE, Box
 from ranktrack.rng import SplitMix64
 
 from conftest import quick_config
@@ -118,6 +118,16 @@ class TestKendallTau:
         n = min(len(a), len(b))
         t = kendall_tau(a[:n], b[:n])
         assert -1.0 <= t <= 1.0
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_pair_loop(self, pairs):
+        # small integers, so most lists hold tied values
+        a, b = zip(*pairs)
+        n = len(pairs)
+        s = sum(int(np.sign(a[i] - a[j]) * np.sign(b[i] - b[j]))
+                for i in range(n) for j in range(i + 1, n))
+        assert kendall_tau(a, b) == s / (n * (n - 1) / 2)
 
 
 def make_report(**overrides):
@@ -261,7 +271,9 @@ def test_every_search_crop_keeps_the_template_scale_as_the_target_doubles(tmp_pa
         return out
 
     monkeypatch.setattr(pipeline, "read_out", spy)
-    evalharness._scoring_pass(pipeline.init_params(cfg, SplitMix64(5)), seq, cfg, SplitMix64(1))
+    mp = pipeline.init_params(cfg, SplitMix64(5))
+    template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
+    evalharness._scoring_pass(mp, template, seq, cfg, SplitMix64(1))
     sampler = SplitMix64(2)
     drawn = [gt_s for _ in range(20)
              for _, _, _, gt_s in pipeline._draw_batch(cfg, [seq], sampler, grid)]
@@ -270,3 +282,66 @@ def test_every_search_crop_keeps_the_template_scale_as_the_target_doubles(tmp_pa
     assert len(scored) == len(seq) and len(drawn) >= 40
     for b in scored + drawn + paired:
         assert (b.width, b.height) == pytest.approx((32.0, 32.0), rel=1e-12)
+
+
+def test_tau_reads_the_pairs_the_loss_ranks(monkeypatch):
+    # Scored without jitter, frame 0 is crop_pair's search crop of frame 0:
+    # the Kendall tau's inputs are the bytes of the batch IGR ranks on it.
+    cfg = quick_config(eval_jitter=0.0, rank_iou=True)
+    mp = pipeline.init_params(cfg, SplitMix64(5))
+    seq = synthdata.gen_sequence(synthdata.SequenceSpec(seed=6, frames=1))
+    taus, ranked = [], []
+    monkeypatch.setattr(evalharness, "kendall_tau", lambda a, b: taus.append((a, b)) or 0.0)
+    template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
+    evalharness._scoring_pass(mp, template, seq, cfg, SplitMix64(1))
+    rank_iou_loss = losses.rank_iou_loss
+
+    def spy(batch, *args):
+        ranked.append(batch)
+        return rank_iou_loss(batch, *args)
+
+    monkeypatch.setattr(losses, "rank_iou_loss", spy)
+    raster, search, gt_s, _ = synthdata.crop_pair(seq, 0, cfg.template_size, cfg.search_size)
+    pipeline.image_loss(cfg, mp, raster, search, gt_s, pipeline.head_grid(cfg))
+    assert len(taus) == len(ranked) == 1 and ranked[0].n_pos >= 2
+    (p, v), batch = taus[0], ranked[0]
+    assert p.tobytes() == batch.pos_scores.data.tobytes()
+    assert v.tobytes() == batch.pos_ious.data.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [(64, 128, "dw"), (127, 255, "pw")])
+def test_the_label_map_marks_the_inside_of_the_target_box(monkeypatch, sizes):
+    # rank consistency and the distractor margin read the label map's
+    # non-negative cells as the target; they are the cells in its box
+    template_size, search_size, corr_mode = sizes
+    cfg = quick_config(template_size=template_size, search_size=search_size,
+                       corr_mode=corr_mode)
+    px, py = pipeline.head_grid(cfg).pixel_xy()
+    scored = []
+    assign_labels = evalharness.assign_labels
+
+    def spy(grid, gt_s):
+        labels = assign_labels(grid, gt_s)
+        scored.append(np.array_equal(labels.cls != NEGATIVE, gt_s.contains(px, py)))
+        return labels
+
+    monkeypatch.setattr(evalharness, "assign_labels", spy)
+    seqs = pipeline.eval_pool(cfg)
+    evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)), seqs, cfg)
+    assert len(scored) == sum(len(seq) for seq in seqs) and all(scored)
+
+
+def test_evaluate_embeds_each_template_once(monkeypatch):
+    cfg = quick_config(eval_sequences=3, eval_frames=4)
+    sizes = []
+    embed = pipeline.embed
+
+    def spy(mp, raster):
+        sizes.append(raster.shape[-1])
+        return embed(mp, raster)
+
+    monkeypatch.setattr(pipeline, "embed", spy)
+    evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)), pipeline.eval_pool(cfg), cfg)
+    assert sizes.count(cfg.template_size) == cfg.eval_sequences
+    assert sizes.count(cfg.search_size) == 2 * cfg.eval_sequences * cfg.eval_frames \
+        - cfg.eval_sequences

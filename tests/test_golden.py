@@ -28,8 +28,14 @@ and ``metrics.csv``. And every training and scoring search crop is sized
 from its own frame's box, not frame 0's; on generated data the two differ
 by rounding only, which moved ``train[plain]`` too. ``success.csv``,
 ``precision.csv`` and ``track_step`` kept their bits.
+
+The paper-preset ``eval`` digest, ``report_csv`` over a 1x4 eval pool, was
+taken before the scoring diagnostics read the loss's label map and rank
+batch and before the read-out took the loss's flat layout; both are meant
+to change no bit. It is the one eval golden on a 32x32 ``pw`` grid.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -39,7 +45,7 @@ from pathlib import Path
 
 import pytest
 
-from ranktrack import cli, pipeline, synthdata
+from ranktrack import cli, evalharness, pipeline, synthdata
 from ranktrack.synthdata import SHAPE_FAMILIES, SequenceSpec, gen_sequence
 
 from conftest import eval_argv, quick_config
@@ -157,6 +163,7 @@ def test_train_golden(arm):
 PAPER_GOLDENS = {
     "train": "df3d8a138d8de05587375a098683cc8e54bf7b95ece2408822be8703bad284e3",
     "track_step": "27a994f3d901b2d1aef9c8387445ec5bbbaf1024ae38e7e2231b738ad7223e5c",
+    "eval": "2399643d427b2cbb4a4b7cffa19ad80d80979405ee4945abdaa8be0e75d0f9c1",
 }
 
 
@@ -175,7 +182,10 @@ def paper_digests() -> dict[str, str]:
     template = synthdata.crop_template(seq, cfg.template_size)
     cell, box = pipeline.track_step(result.params, template, seq.frames[1], seq.gt[0], cfg)
     step = repr((cell, box.x1, box.y1, box.x2, box.y2)).encode()
-    return {"train": h.hexdigest(), "track_step": hashlib.sha256(step).hexdigest()}
+    eval_cfg = dataclasses.replace(cfg, eval_frames=4)
+    report = evalharness.evaluate(result.params, pipeline.eval_pool(eval_cfg), eval_cfg)
+    return {"train": h.hexdigest(), "track_step": hashlib.sha256(step).hexdigest(),
+            "eval": hashlib.sha256(evalharness.report_csv(report).encode()).hexdigest()}
 
 
 def test_paper_preset_golden():

@@ -32,9 +32,13 @@ def make_batch(p, v, neg=()):
                      pos_ious=Tensor(np.asarray(v, dtype=float)))
 
 
+WEIGHTS = (1.0, 0.5, 0.25)   # the default config's (w_rpn, w_rank_cls, w_rank_iou)
+
+
 def own_rank_iou(batch, gamma):
-    """``rank_iou_loss`` with the batch's own plan."""
-    return rank_iou_loss(batch, gamma, rank_plan(batch))
+    """``rank_iou_loss`` with the batch's own plan (its pairs do not depend
+    on ``tau_neg``)."""
+    return rank_iou_loss(batch, gamma, rank_plan(batch, 0.5))
 
 
 def labels_from_codes(codes):
@@ -361,15 +365,15 @@ class TestTwoStageCE:
 
 class TestCombine:
     def test_weighted_total(self):
-        out = combine(0.7, 0.3, 0.2, 0.4)
+        out = combine(0.7, 0.3, 0.2, 0.4, weights=WEIGHTS)
         assert out.item() == pytest.approx(1.2, abs=1e-15)
 
     def test_rank_terms_zero(self):
-        out = combine(0.9, 0.4, 0.0, 0.0)
+        out = combine(0.9, 0.4, 0.0, 0.0, weights=WEIGHTS)
         assert out.item() == pytest.approx(1.3, abs=1e-15)
 
     def test_all_zero(self):
-        assert combine(0.0, 0.0, 0.0, 0.0).item() == 0.0
+        assert combine(0.0, 0.0, 0.0, 0.0, weights=WEIGHTS).item() == 0.0
 
     def test_custom_weights(self):
         out = combine(1.0, 1.0, 1.0, 1.0, weights=(2.0, 3.0, 5.0))
@@ -377,12 +381,12 @@ class TestCombine:
 
     def test_nonfinite_rejected(self):
         with pytest.raises(Exception):
-            combine(float("nan"), 0.0, 0.0, 0.0)
+            combine(float("nan"), 0.0, 0.0, 0.0, weights=WEIGHTS)
 
     def test_gradients_flow_to_parts(self):
         cls = Tensor(0.5, requires_grad=True)
         ri = Tensor(0.2, requires_grad=True)
-        out = combine(cls, 0.1, 0.0, ri)
+        out = combine(cls, 0.1, 0.0, ri, weights=WEIGHTS)
         backward(out)
         assert cls.grad == 1.0 and ri.grad == 0.25
 

@@ -255,7 +255,7 @@ class TestImageLoss:
         got_tf, probs, _, _ = pipeline.read_out(mp, template, seq.frames[1], seq.gt[1],
                                                 seq.gt[1].center, cfg)
         assert got_tf == tf
-        assert probs.shape == (9, 9) and probs.tobytes() == p_fg.data.tobytes()
+        assert probs.data.shape == (81,) and probs.data.tobytes() == p_fg.data.tobytes()
 
     def test_gt_off_grid_returns_none(self):
         cfg, mp, t, s, _ = self.setup_model()
@@ -728,23 +728,28 @@ class TestCheckpoint:
             load_checkpoint(str(p))
 
 
+def track_seq(mp, seq, cfg):
+    """``track`` of ``seq`` with its template's features, as ``evaluate`` runs it."""
+    return track(mp, pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size)), seq, cfg)
+
+
 class TestTrack:
     def test_first_frame_is_ground_truth(self, trained_baseline):
         cfg, result = trained_baseline
         seq = synthdata.gen_sequence(synthdata.SequenceSpec(seed=30, frames=3))
-        preds = track(result.params, seq, cfg)
+        preds = track_seq(result.params, seq, cfg)
         assert preds[0] == seq.gt[0]
 
     def test_static_easy_sequence_stays_on_target(self, trained_baseline):
         cfg, result = trained_baseline
         seq = synthdata.gen_sequence(synthdata.SequenceSpec(
             seed=31, frames=6, motion_sigma=0.0, distractors=0, clutter=0))
-        preds = track(result.params, seq, cfg)
+        preds = track_seq(result.params, seq, cfg)
         for p, g in zip(preds, seq.gt):
             assert iou(p, g) >= 0.5
 
     def test_track_equals_raster_track_step_loop(self, trained_baseline):
-        # track embeds the template once per sequence; the boxes must be the
+        # track runs on the template's embed features; the boxes must be the
         # bits of a frame-by-frame track_step loop that passes the raster
         cfg, result = trained_baseline
         for seq in pipeline.eval_pool(cfg)[:2]:
@@ -752,7 +757,7 @@ class TestTrack:
             boxes = [seq.gt[0]]
             for t in range(1, len(seq)):
                 boxes.append(track_step(result.params, template, seq.frames[t], boxes[-1], cfg)[1])
-            assert track(result.params, seq, cfg) == boxes
+            assert track_seq(result.params, seq, cfg) == boxes
 
     def test_forward_on_template_features_equals_raster(self, trained_baseline):
         cfg, result = trained_baseline
@@ -766,7 +771,7 @@ class TestTrack:
         cfg, result = trained_baseline
         spec = synthdata.SequenceSpec(seed=33, frames=6, motion_sigma=10.0)
         seq = synthdata.gen_sequence(spec)
-        for b in track(result.params, seq, cfg):
+        for b in track_seq(result.params, seq, cfg):
             assert 0 <= b.x1 and b.x2 <= spec.image_size
             assert 0 <= b.y1 and b.y2 <= spec.image_size
 
@@ -778,7 +783,8 @@ class TestTrack:
         hits = 0
         for seq in seqs:
             template = synthdata.crop_template(seq, cfg.template_size)
-            tf, _, _, (r, c) = pipeline.read_out(result.params, template, seq.frames[0],
-                                                 seq.gt[0], seq.gt[0].center, cfg)
+            tf, _, _, cell = pipeline.read_out(result.params, template, seq.frames[0],
+                                               seq.gt[0], seq.gt[0].center, cfg)
+            r, c = divmod(cell, grid.size)
             hits += tf.to_crop(seq.gt[0]).contains(px[r, c], py[r, c])
         assert hits >= len(seqs) - 1
