@@ -7,14 +7,17 @@ one ``error:`` line. An input that cannot be read or parsed (a config,
 spec, checkpoint or sequence directory) is a config problem, not an I/O
 failure, and so is a checkpoint whose model computes a non-finite value
 on frames in [0, 1]. All randomness comes from config seeds, which ``--seed``
-overrides for synth, train and ablation. Re-running any command over the
-same inputs rewrites byte-identical outputs.
+overrides for synth and train. ``ablation`` runs ``train --seed s`` and ``eval``
+into OUT/<arm>/seed<s>/ per ``--seed`` s (default: the arms' shared seed) and
+arm config, named by its file's stem, one ablation.csv row each, seed-major.
+Re-running any command over the same inputs rewrites byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import os
 import sys
 
@@ -57,6 +60,13 @@ def _load(path: str, cls=None, seed: int | None = None):
         raise ConfigError(f"{path}: {e}") from None
 
 
+def _row_name(name: str, path: str) -> str:
+    """``name``, taken from ``path``, once checked to fit the first field of a CSV row."""
+    if any(c in name for c in ",\n\r"):
+        raise ConfigError(f"{path!r}: a name with ',', '\\n' or '\\r' would break a CSV row")
+    return name
+
+
 def _train_run(out_dir: str, cfg: pipeline.TrainConfig,
                config_text: str) -> pipeline.TrainResult:
     """Train ``cfg`` into ``out_dir``: a diagnostic snapshot when training
@@ -80,7 +90,21 @@ def _train_run(out_dir: str, cfg: pipeline.TrainConfig,
     return result
 
 
-def _summary(report: evalharness.MetricReport) -> str:
+def _write_eval(out_dir: str, report: evalharness.MetricReport,
+                seqs: list[synthdata.Sequence]) -> str:
+    """Write ``report``'s metrics and its success and precision curves on
+    ``seqs``, and return the one-line summary that ``eval`` prints."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "metrics.csv"), "w") as f:
+        f.write(evalharness.report_csv(report))
+    all_preds = [b for p in report.predictions for b in p]
+    all_gts = [b for s in seqs for b in s.gt]
+    with open(os.path.join(out_dir, "success.csv"), "w") as f:
+        f.write(evalharness.curve_csv(
+            evalharness.success_curve(all_preds, all_gts), "threshold", "rate"))
+    with open(os.path.join(out_dir, "precision.csv"), "w") as f:
+        f.write(evalharness.curve_csv(
+            evalharness.precision_curve(all_preds, all_gts), "radius", "rate"))
     return ", ".join(f"{k}={v:.4f}" for k, v in report.aggregate().items())
 
 
@@ -125,7 +149,7 @@ def cmd_eval(args) -> int:
         pipeline.check_params(mp, cfg)
         _check_run_sizes(args.checkpoint, cfg)
         if args.seqs:
-            names = sorted(d for d in os.listdir(args.seqs)
+            names = sorted(_row_name(d, os.path.join(args.seqs, d)) for d in os.listdir(args.seqs)
                            if os.path.isdir(os.path.join(args.seqs, d)))
             if not names:
                 raise ValueError(f"no sequence directories under {args.seqs}")
@@ -136,18 +160,7 @@ def cmd_eval(args) -> int:
         report = evalharness.evaluate(mp, seqs, cfg, names)
     except NonFiniteError as e:
         raise ConfigError(f"checkpoint {args.checkpoint}: its weights overflow: {e}") from None
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "metrics.csv"), "w") as f:
-        f.write(evalharness.report_csv(report))
-    all_preds = [b for p in report.predictions for b in p]
-    all_gts = [b for s in seqs for b in s.gt]
-    with open(os.path.join(args.out, "success.csv"), "w") as f:
-        f.write(evalharness.curve_csv(
-            evalharness.success_curve(all_preds, all_gts), "threshold", "rate"))
-    with open(os.path.join(args.out, "precision.csv"), "w") as f:
-        f.write(evalharness.curve_csv(
-            evalharness.precision_curve(all_preds, all_gts), "radius", "rate"))
-    print(_summary(report))
+    print(_write_eval(args.out, report, seqs))
     return EXIT_OK
 
 
@@ -166,37 +179,37 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablation(args) -> int:
-    if len(args.arms) != 4:
-        raise ConfigError("ablation requires exactly 4 arm configs "
-                          "(baseline, cr, cr_igr_ori, cr_igr)")
+    names = [_row_name(os.path.splitext(os.path.basename(p))[0], p) for p in args.arms]
+    for what, given in (("arm names", names + ["ablation.csv"]), ("seeds", args.seed or [])):
+        if len(set(given)) < len(given):
+            raise ConfigError(f"the {what} must differ: {' '.join(map(str, given))}")
     with _loading_inputs():
-        arms = {name: _load(path, pipeline.TrainConfig, args.seed)
-                for name, path in zip(evalharness.ARM_ORDER, args.arms)}
-    arm_cfgs = {name: cfg for name, (_, cfg) in arms.items()}
-    base = arm_cfgs["baseline"]
-    # every arm is evaluated on the baseline's eval pool
-    for path, cfg in zip(args.arms, arm_cfgs.values()):
+        arms = [(name, *_load(path, pipeline.TrainConfig, args.seed and args.seed[0]))
+                for name, path in zip(names, args.arms)]
+    first_name, _, first = arms[0]
+    # every arm is evaluated on the first arm's eval pool
+    for path, (_, _, cfg) in zip(args.arms, arms):
         for key in ("seed",) + pipeline.EVAL_POOL_FIELDS:
-            if getattr(cfg, key) != getattr(base, key):
-                raise ConfigError(f"{path}: {key} = {getattr(cfg, key)}, the baseline's is "
-                                  f"{getattr(base, key)}; the arms must share seed and eval pool")
-    os.makedirs(args.out, exist_ok=True)
+            if getattr(cfg, key) != getattr(first, key):
+                raise ConfigError(f"{path}: {key} = {getattr(cfg, key)}, arm {first_name}'s is "
+                                  f"{getattr(first, key)}; the arms must share seed and eval pool")
 
-    reports = {}
-    seqs = pipeline.eval_pool(base)
-    for arm_name, (config_text, cfg) in arms.items():
-        arm_dir = os.path.join(args.out, arm_name)
-        try:
-            result = _train_run(arm_dir, cfg, config_text)
-        except pipeline.DivergenceError as e:
-            raise pipeline.DivergenceError(f"arm {arm_name}: {e}", e.snapshot) from None
-        reports[arm_name] = report = evalharness.evaluate(result.params, seqs, cfg)
-        with open(os.path.join(arm_dir, "metrics.csv"), "w") as f:
-            f.write(evalharness.report_csv(report))
-        print(f"arm {arm_name}: {_summary(report)}")
+    rows = []
+    seqs = pipeline.eval_pool(first)
+    for seed in args.seed or [first.seed]:
+        for name, config_text, cfg in arms:
+            cfg = dataclasses.replace(cfg, seed=seed)
+            run_dir = os.path.join(args.out, name, f"seed{seed}")
+            try:
+                result = _train_run(run_dir, cfg, config_text)
+            except pipeline.DivergenceError as e:
+                raise pipeline.DivergenceError(f"arm {name} seed {seed}: {e}", e.snapshot) from None
+            report = evalharness.evaluate(result.params, seqs, cfg)
+            print(f"arm {name} seed {seed}: {_write_eval(run_dir, report, seqs)}")
+            rows.append((name, cfg, report))
 
     with open(os.path.join(args.out, "ablation.csv"), "w") as f:
-        f.write(evalharness.ablation_table(reports, arm_cfgs))
+        f.write(evalharness.ablation_table(rows))
     return EXIT_OK
 
 
@@ -231,11 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="run the finite-difference verification suite")
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("ablation", help="train/evaluate the four loss arms")
+    p = sub.add_parser("ablation", help="train and evaluate each arm at each seed")
     p.add_argument("--arms", nargs="+", required=True,
-                   help="four configs: baseline, cr, cr_igr_ori, cr_igr")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override every arm's config seed")
+                   help="one config per arm; an arm is named by its file's stem")
+    p.add_argument("--out", required=True, help="OUT/<arm>/seed<s>/ per run, and OUT/ablation.csv")
+    p.add_argument("--seed", type=int, nargs="+", help="seeds in place of the arms' config seed")
     p.set_defaults(func=cmd_ablation)
     return parser
 

@@ -193,25 +193,17 @@ def curve_csv(curve: list[tuple[float, float]], x_name: str, y_name: str) -> str
     return "\n".join(lines) + "\n"
 
 
-ARM_ORDER = ("baseline", "cr", "cr_igr_ori", "cr_igr")
-
-
-def ablation_table(arm_reports: dict[str, MetricReport],
-                   arm_configs: dict[str, "pipeline.TrainConfig"]) -> str:
-    """Four-arm comparison table; one row per arm, aggregate columns.
+def ablation_table(rows: list[tuple[str, pipeline.TrainConfig, MetricReport]]) -> str:
+    """One row per (arm name, config, report) of ``rows``, in order: aggregate columns.
 
     Rank-loss columns are reported for every arm; flags mark which
     losses were active so inactive columns read as context, not claims.
     """
-    missing = [a for a in ARM_ORDER if a not in arm_reports]
-    if missing:
-        raise ValueError(f"missing ablation arm(s): {', '.join(missing)}")
     header = ("arm,rank_cls_active,rank_iou_active,rank_iou_ori_active,seed,"
               + ",".join(_AGG_COLUMNS))
     lines = [header]
-    for arm in ARM_ORDER:
-        cfg = arm_configs[arm]
-        agg = arm_reports[arm].aggregate()
+    for arm, cfg, report in rows:
+        agg = report.aggregate()
         rc, ri, ro = cfg.rank_cls, cfg.rank_iou, cfg.rank_iou_ori
         lines.append(f"{arm},{rc},{ri},{ro},{cfg.seed},"
                      + ",".join(repr(agg[k]) for k in _AGG_COLUMNS))

@@ -1,8 +1,35 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from ranktrack import configio, pipeline
 from ranktrack.rng import SplitMix64
+
+
+def pytest_report_header(config) -> list[str]:
+    """The kernels the bit-pinning goldens run under: numpy's version and
+    enabled SIMD dispatch targets, and the core and build of numpy's bundled
+    OpenBLAS, found where ``numerics._pin_blas_threads`` finds it. Another
+    fingerprint computes other last bits, so a golden may fail under it."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    lines = [f"numpy {np.__version__}, SIMD dispatch: {', '.join(targets) or 'none'}"]
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas*.so")
+    try:
+        lib = ctypes.CDLL(sorted(glob.glob(pattern))[0])
+        corename, build = lib.scipy_openblas_get_corename64_, lib.scipy_openblas_get_config64_
+    except (IndexError, OSError, AttributeError):
+        return lines + ["OpenBLAS: numpy's bundled library was not found"]
+    for fn in (corename, build):
+        fn.argtypes, fn.restype = (), ctypes.c_char_p
+    return lines + [f"OpenBLAS core: {corename().decode()}; build: {build().decode()}"]
 
 
 def quick_config(**overrides) -> pipeline.TrainConfig:

@@ -332,6 +332,12 @@ ANNOTATION_LINES = {"far-box": "2 -1e308 10.0 1e308 40.0", "zero-box": "0 20.0 3
                     "later-zero-box": "2 20.0 30.0 20.0 30.0"}
 ANNOTATIONS = Path("seqs") / "seq0" / "annotations.txt"
 ZERO_SIDE_BOX = "line 1: the target box of frame 0 has a context square of side 0"
+# `eval --seqs` reads one exported sequence, and `ablation` its second arm,
+# under a name that would break the first field of a CSV row, or that would
+# put the arm's runs where ablation.csv goes
+COMMA_NAMES = {"comma-sequence": Path("seqs") / "a,b", "comma-arm": Path("a,b.cfg"),
+               "table-name": Path("ablation.csv.cfg")}
+CSV_NAME = "a name with ',', '\\n' or '\\r' would break a CSV row"
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
                               ("non-utf8", "codec can't decode"))] + [
@@ -367,27 +373,35 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("train-tau-neg-one", cli.EXIT_CONFIG, "field 'tau_neg' must be less than 1"),
     ("ablation-tau-neg-one", cli.EXIT_CONFIG, "field 'tau_neg' must be less than 1"),
     ("train-momentum-one", cli.EXIT_CONFIG, "field 'momentum' must be less than 1"),
-    ("ablation-three-arms", cli.EXIT_CONFIG, "exactly 4 arm configs"),
+    ("ablation-same-name", cli.EXIT_CONFIG,
+     "the arm names must differ: first input input ablation.csv"),
+    ("ablation-table-name", cli.EXIT_CONFIG,
+     "the arm names must differ: first ablation.csv ablation.csv"),
+    ("ablation-same-seed", cli.EXIT_CONFIG, "the seeds must differ: 1 1"),
+    ("eval-comma-sequence", cli.EXIT_CONFIG, CSV_NAME),
+    ("ablation-comma-arm", cli.EXIT_CONFIG, CSV_NAME),
     ("ablation-other-eval-pool", cli.EXIT_CONFIG,
-     "eval_sequences = 3, the baseline's is 1; the arms must share seed and eval pool"),
-    ("ablation-other-scene", cli.EXIT_CONFIG, "similarity = 0.5, the baseline's is 0.85"),
-    ("ablation-other-seed", cli.EXIT_CONFIG, "seed = 8, the baseline's is 7"),
+     "eval_sequences = 3, arm first's is 1; the arms must share seed and eval pool"),
+    ("ablation-other-scene", cli.EXIT_CONFIG, "similarity = 0.5, arm first's is 0.85"),
+    ("ablation-other-seed", cli.EXIT_CONFIG, "seed = 8, arm first's is 7"),
     ("synth-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("ablation-out-under-file", cli.EXIT_IO, "Not a directory"),
     ("train-diverges", cli.EXIT_DIVERGED, "training diverged: non-finite loss at iteration 1:"),
     ("ablation-diverges", cli.EXIT_DIVERGED,
-     "training diverged: arm cr: non-finite loss at iteration 1:"),
+     "training diverged: arm input seed 7: non-finite loss at iteration 1:"),
 ]
 
 
 def exit_case_argv(tmp_path, case: str) -> list[str]:
     """The command named first in ``case``, reading the input the rest of
-    ``case`` names as its spec, its config, its checkpoint or its second of
-    four arms."""
+    ``case`` names as its spec, its config, its checkpoint, its sequence
+    directory or its second arm."""
     command, what = case.split("-", 1)
-    path, out, good = tmp_path / "input.cfg", tmp_path / "out", tmp_path / "good.cfg"
-    good.write_text(TINY_CONFIG)
+    path, out, first = tmp_path / "input.cfg", tmp_path / "out", tmp_path / "first.cfg"
+    first.write_text(TINY_CONFIG)
+    if what in ("comma-arm", "table-name"):
+        path = tmp_path / COMMA_NAMES[what]
     if what == "directory":
         path.mkdir()
     elif what == "non-utf8":
@@ -398,11 +412,13 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
     if command == "ablation":
-        arms = [good, path, good] + ([] if what == "three-arms" else [good])
-        return ["ablation", "--arms", *map(str, arms), "--out", str(out)]
+        arms = [first, path] + ([tmp_path / "again" / "input.cfg"] if what == "same-name" else [])
+        seeds = ["--seed", "1", "1"] if what == "same-seed" else []
+        return ["ablation", "--arms", *map(str, arms), "--out", str(out)] + seeds
     flag = "--spec" if command == "synth" else "--config"
     extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
-    if what in DAMAGED_CHECKPOINTS or what in ANNOTATION_LINES:
+    sequence = what in ANNOTATION_LINES or what == "comma-sequence"
+    if what in DAMAGED_CHECKPOINTS or sequence:
         damage, ckpt = DAMAGED_CHECKPOINTS.get(what), tmp_path / "input.bin"
         cfg = configio.from_kv(pipeline.TrainConfig, configio.parse_kv(TINY_CONFIG))
         mp = pipeline.init_params(cfg, SplitMix64(5))
@@ -417,13 +433,15 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
             assert data.count(BB1_W_SIZES) == 1
             ckpt.write_bytes(damage(data))
         extra = ["--checkpoint", str(ckpt)]
-    if what in ANNOTATION_LINES:
-        ann = tmp_path / ANNOTATIONS
+    if sequence:
+        seq_dir = tmp_path / COMMA_NAMES.get(what, ANNOTATIONS.parent)
         synthdata.export_sequence(synthdata.gen_sequence(synthdata.SequenceSpec(seed=3, frames=5)),
-                                  str(ann.parent))
-        lines, line = ann.read_text().split("\n"), ANNOTATION_LINES[what]
-        lines[int(line.split()[0])] = line
-        ann.write_text("\n".join(lines))
+                                  str(seq_dir))
+        if what in ANNOTATION_LINES:
+            ann, line = seq_dir / ANNOTATIONS.name, ANNOTATION_LINES[what]
+            lines = ann.read_text().split("\n")
+            lines[int(line.split()[0])] = line
+            ann.write_text("\n".join(lines))
         extra += ["--seqs", str(tmp_path / ANNOTATIONS.parts[0])]
     return [command, flag, str(path), "--out", str(out)] + extra
 
@@ -436,15 +454,49 @@ def test_exit_codes(tmp_path, capsys, case, code, text):
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and text in errors[0] and "Traceback" not in err, err
-    if code == cli.EXIT_CONFIG and not case.endswith("three-arms"):
+    if code == cli.EXIT_CONFIG and not case.endswith(("same-name", "same-seed", "table-name")):
         what = case.split("-", 1)[1]
         named = ("input.bin" if what in DAMAGED_CHECKPOINTS
-                 else ANNOTATIONS if what in ANNOTATION_LINES else "input.cfg")
+                 else ANNOTATIONS if what in ANNOTATION_LINES
+                 else COMMA_NAMES.get(what, "input.cfg"))
         assert str(tmp_path / named) in errors[0], "the error names the input file"
-    if code == cli.EXIT_DIVERGED:  # ablation's diverging arm is the second, cr
-        run_dir = tmp_path / "out" / ("cr" if case.startswith("ablation") else "")
+    if code == cli.EXIT_DIVERGED:  # ablation's diverging arm is the second, input
+        run_dir = tmp_path / "out" / ("input/seed7" if case.startswith("ablation") else "")
         assert (run_dir / "divergence.txt").read_text().startswith(
             "non-finite loss at iteration 1:")
+
+
+# two arms whose file seeds differ, which --seed overrides
+ARM_TEXTS = {"plain": TINY_CONFIG + "seed = 3\n",
+             "cr_igr": TINY_CONFIG + "seed = 5\nrank_cls = true\nrank_iou = true\n"}
+RUN_FILES = ("checkpoint.bin", "runlog.csv", "metrics.csv", "success.csv", "precision.csv")
+
+
+def test_ablation_is_train_then_eval_per_arm_and_seed(tmp_path, monkeypatch):
+    """Each OUT/<arm>/seed<s>/ holds the files that `train --seed s` and then
+    `eval` of the arm's config write, with their bytes (the manifest's but its
+    out_dir line), and ablation.csv holds each run's aggregate, seed-major."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in ARM_TEXTS.items():
+        Path(f"{name}.cfg").write_text(text.replace("iterations = 3", "iterations = 2"))
+    assert cli.main(["ablation", "--arms", "plain.cfg", "cr_igr.cfg", "--seed", "1", "2",
+                     "--out", "abl"]) == cli.EXIT_OK
+    rows = [line.split(",") for line in Path("abl/ablation.csv").read_text().splitlines()[1:]]
+    runs = [("plain", 1), ("cr_igr", 1), ("plain", 2), ("cr_igr", 2)]
+    assert [(row[0], int(row[4])) for row in rows] == runs
+    for (name, seed), row in zip(runs, rows):
+        run, ref = Path("abl") / name / f"seed{seed}", Path(f"ref-{name}-{seed}")
+        assert cli.main(["train", "--config", f"{name}.cfg", "--seed", str(seed),
+                         "--out", str(ref)]) == cli.EXIT_OK
+        assert cli.main(["eval", "--checkpoint", str(ref / "checkpoint.bin"),
+                         "--config", f"{name}.cfg", "--out", str(ref)]) == cli.EXIT_OK
+        assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in ref.iterdir())
+        for f in RUN_FILES:
+            assert (run / f).read_bytes() == (ref / f).read_bytes(), (name, seed, f)
+        manifests = [(d / "manifest.txt").read_text().replace(f"out_dir = {d}\n", "")
+                     for d in (run, ref)]
+        assert manifests[0] == manifests[1] and f"seed = {seed}\n" in manifests[0]
+        assert row[5:] == (run / "metrics.csv").read_text().splitlines()[-1].split(",")[1:]
 
 
 def test_train_reads_its_config_once(tmp_path, monkeypatch):

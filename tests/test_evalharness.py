@@ -138,35 +138,27 @@ def make_report(**overrides):
 
 
 class TestAblationTable:
-    def configs(self):
-        return {
+    def rows(self):
+        configs = {
             "baseline": quick_config(),
             "cr": quick_config(rank_cls=True),
             "cr_igr_ori": quick_config(rank_cls=True, rank_iou_ori=True),
             "cr_igr": quick_config(rank_cls=True, rank_iou=True),
         }
+        return [(arm, cfg, make_report()) for arm, cfg in configs.items()]
 
     def test_four_rows_plus_header(self):
-        reports = {arm: make_report() for arm in evalharness.ARM_ORDER}
-        table = ablation_table(reports, self.configs())
+        table = ablation_table(self.rows())
         lines = table.strip().splitlines()
         assert len(lines) == 5
         assert lines[0].startswith("arm,")
-        assert [ln.split(",")[0] for ln in lines[1:]] == list(evalharness.ARM_ORDER)
-
-    def test_missing_arm_rejected(self):
-        reports = {arm: make_report() for arm in ("baseline", "cr")}
-        with pytest.raises(ValueError, match="cr_igr"):
-            ablation_table(reports, self.configs())
+        assert [ln.split(",")[0] for ln in lines[1:]] == [arm for arm, _, _ in self.rows()]
 
     def test_regeneration_identical(self):
-        reports = {arm: make_report() for arm in evalharness.ARM_ORDER}
-        assert ablation_table(reports, self.configs()) == \
-            ablation_table(reports, self.configs())
+        assert ablation_table(self.rows()) == ablation_table(self.rows())
 
     def test_inactive_flags_marked(self):
-        reports = {arm: make_report() for arm in evalharness.ARM_ORDER}
-        table = ablation_table(reports, self.configs())
+        table = ablation_table(self.rows())
         baseline_row = table.strip().splitlines()[1].split(",")
         assert baseline_row[1] == "False"  # rank_cls inactive on the baseline
 
