@@ -67,11 +67,21 @@ def _row_name(name: str, path: str) -> str:
     return name
 
 
+# the files that a training run and its evaluation write into a run directory
+_RUN_FILES = ("manifest.txt", "checkpoint.bin", "runlog.csv", "divergence.txt",
+              "metrics.csv", "success.csv", "precision.csv")
+
+
 def _train_run(out_dir: str, cfg: pipeline.TrainConfig,
                config_text: str) -> pipeline.TrainResult:
     """Train ``cfg`` into ``out_dir``: a diagnostic snapshot when training
-    diverges, otherwise the manifest, checkpoint and run log."""
+    diverges, otherwise the manifest, checkpoint and run log. The files an
+    earlier run or its evaluation left there go first, so the directory
+    holds one run."""
     os.makedirs(out_dir, exist_ok=True)
+    for name in _RUN_FILES:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     try:
         result = pipeline.train(cfg)
     except pipeline.DivergenceError as e:
@@ -81,7 +91,7 @@ def _train_run(out_dir: str, cfg: pipeline.TrainConfig,
                 f.write(f"{e}\n{e.snapshot}\n")
             print(f"diagnostic snapshot written to {snap_path}", file=sys.stderr)
         raise
-    kv = {"digest": configio.sha256_text(config_text), "out_dir": out_dir}
+    kv = {"digest": configio.sha256_text(config_text)}
     kv.update(configio.to_kv(cfg))
     with open(os.path.join(out_dir, "manifest.txt"), "w") as f:
         f.write(configio.format_kv(kv))

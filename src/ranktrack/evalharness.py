@@ -11,8 +11,9 @@ Ranking quality is probed on crops sized from each frame's ground truth
 * Kendall tau between positive-location confidences and the IoUs of
   their decoded boxes, the quantity the IoU-guided ranking loss aligns.
 
-A frame is read as the loss reads a crop: its label map marks the target,
-and the tau takes the (p_i, v_i) pairs that IGR ranks, ``pipeline.rank_batch``.
+A frame is read as the loss reads a crop: a label map marks the target
+and one each distractor, and the tau takes the (p_i, v_i) pairs that IGR
+ranks, ``pipeline.rank_batch``.
 
 Success thresholds are inclusive (iou >= t), so a perfect tracker
 scores exactly 1.0.
@@ -20,7 +21,7 @@ scores exactly 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,7 +107,6 @@ def _scoring_pass(mp: pipeline.ModelParams, template: nm.Tensor, seq: synthdata.
                   ) -> tuple[float, float, float]:
     """Ground-truth-anchored scoring diagnostics for one sequence and its template."""
     grid = pipeline.head_grid(cfg)
-    px, py = (a.reshape(-1) for a in grid.pixel_xy())
     consistent, margins, taus = [], [], []
 
     for t in range(len(seq)):
@@ -123,7 +123,7 @@ def _scoring_pass(mp: pipeline.ModelParams, template: nm.Tensor, seq: synthdata.
 
         in_dist = np.zeros_like(on_target)
         for db in seq.distractor_boxes[t]:
-            in_dist |= tf.to_crop(db).contains(px, py)
+            in_dist |= assign_labels(grid, tf.to_crop(db)).cls.reshape(-1) != NEGATIVE
         in_dist &= ~on_target
         if on_target.any() and in_dist.any():
             margins.append(float(p_fg.data[on_target].max() - p_fg.data[in_dist].max()))
@@ -152,8 +152,7 @@ def evaluate(mp: pipeline.ModelParams, seqs: list[synthdata.Sequence],
     require gradients, so no op records a graph and every intermediate
     array is freed once the next op has read it; ``mp`` is not touched.
     """
-    mp = pipeline.ModelParams(mp.corr_mode, mp.in_channels,
-                              {name: nm.Tensor(t.data) for name, t in mp.leaves()})
+    mp = replace(mp, params={name: nm.Tensor(t.data) for name, t in mp.leaves()})
     jitter_master = SplitMix64(cfg.eval_seed).spawn(pipeline._DOM_JITTER)
     per_seq, predictions = [], []
     for i, seq in enumerate(seqs):

@@ -18,12 +18,14 @@ Two conventions keep checks honest where ops branch on data:
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import correlation, losses, pipeline, synthdata
 from . import numerics as nm
 from .geometry import Box, LabelMap, assign_labels, iou_tensor
-from .numerics import Tensor, finite_diff_check
+from .numerics import Tensor
 from .rng import SplitMix64
 
 OP_TOL = 1e-4
@@ -37,6 +39,41 @@ _CFG = pipeline.TrainConfig(seed=5, template_size=64, search_size=128,
                             rank_cls=True, rank_iou=True, iterations=1,
                             train_sequences=2, frames_per_sequence=3,
                             eval_sequences=1, eval_frames=2)
+
+
+# -- the oracle ------------------------------------------------------------------
+
+def _max_rel_error(f: Callable[[], float], entries, step: float) -> float:
+    """Max relative error, |analytic - numeric| / max(1e-12, |analytic| +
+    |numeric|), of the recorded gradients against central differences of
+    ``f`` in each (flat values, flat gradients, index) entry, one at a time."""
+    errors = []
+    for flat, grad, i in entries:
+        orig = flat[i]
+        flat[i] = orig + step
+        f_plus = f()
+        flat[i] = orig - step
+        f_minus = f()
+        flat[i] = orig
+        numeric = (f_plus - f_minus) / (2.0 * step)
+        errors.append(abs(grad[i] - numeric) / max(1e-12, abs(grad[i]) + abs(numeric)))
+    return float(np.max(errors)) if errors else 0.0
+
+
+def finite_diff_check(op: Callable[[Tensor], Tensor], point: Tensor, step: float = 1e-5) -> float:
+    """``_max_rel_error`` of ``op``, a scalar-valued pure function of its
+    tensor argument, in every entry of ``point``."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    x = Tensor(point.data, requires_grad=True)
+    out = op(x)
+    if not isinstance(out, Tensor) or out.data.size != 1:
+        raise ValueError("finite_diff_check requires a scalar-valued op")
+    nm.backward(out)
+    base = point.data.copy()
+    flat, grad = base.reshape(-1), x.grad.reshape(-1)
+    return _max_rel_error(lambda: op(Tensor(base)).item(),
+                          [(flat, grad, i) for i in range(flat.size)], step)
 
 
 def _uniform_array(rng: SplitMix64, shape, lo=-1.0, hi=1.0) -> np.ndarray:
@@ -175,25 +212,12 @@ def end_to_end_error(rng: SplitMix64) -> float:
     nm.backward(base.total)
 
     names = sorted(mp.params)
-    picks = []
+    entries = []
     pick_rng = rng.spawn(9)
     for _ in range(END_TO_END_WEIGHTS):
-        name = names[pick_rng.randint(len(names))]
-        picks.append((name, pick_rng.randint(mp.params[name].data.size)))
-
-    worst = 0.0
-    for name, flat in picks:
-        t = mp.params[name]
-        analytic = float(t.grad.reshape(-1)[flat])
-        orig = float(t.data.reshape(-1)[flat])
-        t.data.reshape(-1)[flat] = orig + END_TO_END_STEP
-        f_plus = loss(base.plan).total.item()
-        t.data.reshape(-1)[flat] = orig - END_TO_END_STEP
-        f_minus = loss(base.plan).total.item()
-        t.data.reshape(-1)[flat] = orig
-        numeric = (f_plus - f_minus) / (2 * END_TO_END_STEP)
-        err = abs(analytic - numeric) / max(1e-12, abs(analytic) + abs(numeric))
-        worst = max(worst, err)
+        t = mp.params[names[pick_rng.randint(len(names))]]
+        entries.append((t.data.reshape(-1), t.grad.reshape(-1), pick_rng.randint(t.data.size)))
+    worst = _max_rel_error(lambda: loss(base.plan).total.item(), entries, END_TO_END_STEP)
     mp.zero_grad()
     return worst
 

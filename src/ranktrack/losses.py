@@ -19,7 +19,7 @@ comparisons are strict, so ties contribute nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -245,13 +245,8 @@ class LossBreakdown:
     plan: RankPlan
 
     def floats(self) -> dict[str, float]:
-        return {
-            "cls": self.cls.item(),
-            "loc": self.loc.item(),
-            "rank_cls": self.rank_cls.item(),
-            "rank_iou": self.rank_iou.item(),
-            "total": self.total.item(),
-        }
+        """Each loss term and the total, by field name, as a float."""
+        return {f.name: getattr(self, f.name).item() for f in fields(self) if f.name != "plan"}
 
 
 def combine(cls, loc, rank_cls, rank_iou, *, weights: tuple[float, float, float]) -> Tensor:

@@ -75,13 +75,13 @@ import ctypes
 import glob
 import os
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "NonFiniteError", "Tensor", "add", "sub", "mul", "conv2d", "exp", "softplus",
-    "reshape", "sum_", "mean", "softmax", "log_softmax", "backward", "finite_diff_check",
+    "reshape", "sum_", "mean", "softmax", "log_softmax", "backward",
 ]
 
 
@@ -543,36 +543,3 @@ def backward(loss: Tensor, sink: list | None = None) -> None:
             flows[id(parent)] = g if prev is None else prev + g
         del grads
 
-
-# -- finite-difference oracle ---------------------------------------------------
-
-def finite_diff_check(op: Callable[[Tensor], Tensor], point: Tensor, step: float = 1e-5) -> float:
-    """Max relative error between recorded gradients and central differences.
-
-    ``op`` must be a scalar-valued pure function of its tensor argument.
-    Per coordinate the error is |analytic - numeric| divided by
-    max(1e-12, |analytic| + |numeric|).
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x = Tensor(point.data, requires_grad=True)
-    out = op(x)
-    if not isinstance(out, Tensor) or out.data.size != 1:
-        raise ValueError("finite_diff_check requires a scalar-valued op")
-    backward(out)
-    analytic = x.grad.reshape(-1).copy()
-
-    base = point.data.copy()
-    flat = base.reshape(-1)
-    numeric = np.empty_like(analytic)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = op(Tensor(base)).item()
-        flat[i] = orig - step
-        f_minus = op(Tensor(base)).item()
-        flat[i] = orig
-        numeric[i] = (f_plus - f_minus) / (2.0 * step)
-
-    scale = np.maximum(1e-12, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / scale)) if flat.size else 0.0

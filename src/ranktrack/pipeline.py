@@ -557,15 +557,9 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
             total = terms[0]["total"]
             for f in terms[1:]:
                 total += f["total"]
-            row = LogRow(
-                iteration=it,
-                cls=float(np.mean([f["cls"] for f in terms])),
-                loc=float(np.mean([f["loc"] for f in terms])),
-                rank_cls=float(np.mean([f["rank_cls"] for f in terms])),
-                rank_iou=float(np.mean([f["rank_iou"] for f in terms])),
-                total=total * scale,
-                margin=float(np.mean(margins)) if margins else float("nan"),
-            )
+            means = {k: float(np.mean([f[k] for f in terms])) for k in terms[0] if k != "total"}
+            row = LogRow(iteration=it, total=total * scale,
+                         margin=float(np.mean(margins)) if margins else float("nan"), **means)
             log.append(row)
             last_row = row
 
@@ -590,11 +584,11 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
 
 
 def write_run_log(log: list[LogRow], path: str) -> None:
+    names = [f.name for f in fields(LogRow)]
     with open(path, "w") as f:
-        f.write("iteration,cls,loc,rank_cls,rank_iou,total,margin\n")
+        f.write(",".join(names) + "\n")
         for r in log:
-            f.write(f"{r.iteration},{r.cls!r},{r.loc!r},{r.rank_cls!r},"
-                    f"{r.rank_iou!r},{r.total!r},{r.margin!r}\n")
+            f.write(",".join(repr(getattr(r, n)) for n in names) + "\n")
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -641,7 +635,7 @@ def load_checkpoint(path: str) -> ModelParams:
             raise ValueError(f"not a checkpoint file: {path}")
         (version,) = u32s()
         if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"unsupported checkpoint version {version}: {path}")
         header = dict(kv.split("=", 1) for kv in read(u32s()[0]).decode().split(";"))
         if set(header) != {"corr_mode", "in_channels"}:
             raise ValueError(f"bad checkpoint header: {path}")

@@ -128,7 +128,7 @@ class Sequence:
     frames: abc.Sequence[np.ndarray]     # (3, H, W) float64 in [0, 1]; PaintedFrames if generated
     gt: list[Box]                        # target box per frame
     distractor_boxes: list[list[Box]]    # per frame, one box per distractor
-    spec: SequenceSpec | None            # echo of the generating spec; None if imported without one
+    spec: SequenceSpec | None            # echo of the generating spec; None if imported
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -452,8 +452,8 @@ def import_sequence(in_dir: str) -> Sequence:
     that names the file, and for annotations the line, when a frame is not
     a whole PPM with pixels, frames differ in shape, an annotation line is
     not a valid "frame x1 y1 x2 y2" box with finite corners, names a frame
-    that does not exist or that its block already gave, a box block lacks
-    a frame's line or spec.txt does not hold a valid spec.
+    that does not exist or that its block already gave, or a box block
+    lacks a frame's line. A ``spec.txt`` is not read: the sequence's spec is None.
 
     A box corner more than ``BOX_REACH`` times the frame's longer side
     outside the frame is rejected too: nothing of a tracking sequence lies
@@ -508,16 +508,6 @@ def import_sequence(in_dir: str) -> Sequence:
             raise ValueError(f"{in_dir}: annotation block {k} has no line for frame {missing[0]}")
         parsed.append([boxes[t] for t in range(len(frames))])
 
-    spec = None
-    spec_path = os.path.join(in_dir, "spec.txt")
-    if os.path.exists(spec_path):
-        with open(spec_path) as f:
-            text = f.read()
-        try:
-            spec = configio.from_kv(SequenceSpec, configio.parse_kv(text))
-        except ValueError as e:
-            raise ValueError(f"{spec_path}: {e}") from None
-
     distractors = [[parsed[d + 1][t] for d in range(len(parsed) - 1)]
                    for t in range(len(frames))]
-    return Sequence(frames=frames, gt=parsed[0], distractor_boxes=distractors, spec=spec)
+    return Sequence(frames=frames, gt=parsed[0], distractor_boxes=distractors, spec=None)

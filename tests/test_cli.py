@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ranktrack import cli, configio, pipeline, synthdata
+from ranktrack import cli, configio, gradcheck, pipeline, synthdata
 from ranktrack.numerics import Tensor
 from ranktrack.rng import SplitMix64
 
@@ -228,7 +228,9 @@ class TestBadSequenceDirs:
 # manifest echoes every field, so it lost that field's line and nothing else.
 # The checkpoint and run log did not move then; they moved in their last bits
 # when one class log-softmax fed the loss and its hard negatives, and again
-# when training crops were sized from their own frame's box.
+# when training crops were sized from their own frame's box. manifest.txt
+# was re-taken once more when it stopped recording out_dir, the one line that
+# differed between copies of a run in two directories.
 TRAIN_CONFIG = """# 64/128 dw, CR + IGR
 seed = 7
 template_size = 64
@@ -241,7 +243,7 @@ rank_cls = true
 rank_iou = yes
 """
 TRAIN_ARTIFACT_GOLDENS = {
-    "manifest.txt": "497e2057ad7e83cc17bcfc98d9d4e3d1f7c2ee6f13a574c5e3b3a81cae69cf9c",
+    "manifest.txt": "9753b4d281e3494af647c56345382f61f5bcfc21faa143dada356421707c1d61",
     "runlog.csv": "901e9f261b0a2de75af1ee5955d72bc27e3004387935bf7741d22b984d606c62",
     "checkpoint.bin": "921f07fe2857c5cdcb48c0f6eeb107951722f6a56ebcfc68a40a91e8aec91ad8",
 }
@@ -261,11 +263,12 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def test_train_artifacts_golden(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # relative paths, so manifest.txt's out_dir is fixed
-    Path("train.cfg").write_text(TRAIN_CONFIG)
-    assert cli.main(["train", "--config", "train.cfg", "--out", "run"]) == cli.EXIT_OK
-    assert {n: _sha256(Path("run") / n) for n in TRAIN_ARTIFACT_GOLDENS} == TRAIN_ARTIFACT_GOLDENS
+def test_train_artifacts_golden(tmp_path):
+    (tmp_path / "train.cfg").write_text(TRAIN_CONFIG)
+    run = tmp_path / "run"
+    assert cli.main(["train", "--config", str(tmp_path / "train.cfg"),
+                     "--out", str(run)]) == cli.EXIT_OK
+    assert {n: _sha256(run / n) for n in TRAIN_ARTIFACT_GOLDENS} == TRAIN_ARTIFACT_GOLDENS
 
 
 @pytest.mark.parametrize("case", SPEC_GOLDENS)
@@ -310,12 +313,20 @@ CASE_TEXTS = {
                        + "similarity = 0.5\n",
     "other-scene": TINY_CONFIG + "similarity = 0.5\n",
     "other-seed": TINY_CONFIG + "seed = 8\n",
+    "no-equals": TINY_CONFIG + "rank_cls\n",
+    "empty-key": TINY_CONFIG + " = 3\n",
+    "duplicate-key": TINY_CONFIG + "iterations = 4\n",
+    "corr-mode-xx": TINY_CONFIG + "corr_mode = xx\n",
+    "template-not-smaller": TINY_CONFIG.replace("search_size = 128", "search_size = 64"),
+    "template-4": TINY_CONFIG.replace("template_size = 64", "template_size = 4"),
+    "negative-distractors": "distractors = -1\n",
+    "negative-noise": "noise_sigma = -0.1\n",
 }
 # how `eval`'s checkpoint, input.bin, is damaged: the second value of a
 # weight set (a non-finite value, or a finite loc2_b that overflows the
 # offsets' exp), bytes appended, or the size fields of its first tensor,
 # bb1_w (16, 3, 2, 2), rewritten: a shape of 60000**4 values, beyond int64,
-# or 0xFFFFFFF0 dimensions
+# or 0xFFFFFFF0 dimensions; or its version or its header rewritten
 BB1_W_SIZES = b"bb1_w" + struct.pack("<5I", 4, 16, 3, 2, 2)
 DAMAGED_CHECKPOINTS = {
     "nan-weight": ("cls2_b", np.nan), "inf-weight": ("cls2_b", np.inf),
@@ -324,6 +335,10 @@ DAMAGED_CHECKPOINTS = {
         BB1_W_SIZES, b"bb1_w" + struct.pack("<5I", 4, *[60000] * 4), 1),
     "huge-ndim": lambda data: data.replace(
         BB1_W_SIZES, b"bb1_w" + struct.pack("<5I", 0xFFFFFFF0, 16, 3, 2, 2), 1),
+    "version-2": lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+    "header-without-in-channels": lambda data: data.replace(
+        struct.pack("<I", 26) + b"corr_mode=dw;in_channels=3",
+        struct.pack("<I", 12) + b"corr_mode=dw", 1),
 }
 # `eval --seqs` reads one exported sequence whose target block has this line
 # in place of the line of the frame it names, in annotations.txt
@@ -331,12 +346,17 @@ ANNOTATION_LINES = {"far-box": "2 -1e308 10.0 1e308 40.0", "zero-box": "0 20.0 3
                     "underflowing-box": "0 0.0 0.0 1e-200 1e-200",
                     "later-zero-box": "2 20.0 30.0 20.0 30.0"}
 ANNOTATIONS = Path("seqs") / "seq0" / "annotations.txt"
+# ... or whose second frame has these bytes
+DAMAGED_FRAME = ANNOTATIONS.with_name("frame_000001.ppm")
+DAMAGED_FRAMES = {"not-p6": b"P3\n1 1\n255\n0 0 0\n",
+                  "maxval-65535": b"P6\n1 1\n65535\n" + bytes(6)}
 ZERO_SIDE_BOX = "line 1: the target box of frame 0 has a context square of side 0"
 # `eval --seqs` reads one exported sequence, and `ablation` its second arm,
 # under a name that would break the first field of a CSV row, or that would
-# put the arm's runs where ablation.csv goes
+# put the arm's runs where ablation.csv goes; or `eval --seqs` reads the one
+# sequence exported straight into it, so that it holds no sequence directory
 COMMA_NAMES = {"comma-sequence": Path("seqs") / "a,b", "comma-arm": Path("a,b.cfg"),
-               "table-name": Path("ablation.csv.cfg")}
+               "table-name": Path("ablation.csv.cfg"), "no-sequences": Path("seqs")}
 CSV_NAME = "a name with ',', '\\n' or '\\r' would break a CSV row"
 EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "eval", "ablation")
               for k, text in (("missing", "No such file"), ("directory", "Is a directory"),
@@ -379,6 +399,20 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
      "the arm names must differ: first ablation.csv ablation.csv"),
     ("ablation-same-seed", cli.EXIT_CONFIG, "the seeds must differ: 1 1"),
     ("eval-comma-sequence", cli.EXIT_CONFIG, CSV_NAME),
+    ("train-no-equals", cli.EXIT_CONFIG, "line 8: expected 'key = value', got 'rank_cls'"),
+    ("train-empty-key", cli.EXIT_CONFIG, "line 8: empty key"),
+    ("train-duplicate-key", cli.EXIT_CONFIG, "line 8: duplicate key 'iterations'"),
+    ("train-corr-mode-xx", cli.EXIT_CONFIG, "corr_mode must be 'dw' or 'pw'"),
+    ("train-template-not-smaller", cli.EXIT_CONFIG,
+     "template_size must be smaller than search_size"),
+    ("train-template-4", cli.EXIT_CONFIG, "template_size too small for the backbone"),
+    ("synth-negative-distractors", cli.EXIT_CONFIG, "field 'distractors' must be non-negative"),
+    ("synth-negative-noise", cli.EXIT_CONFIG, "field 'noise_sigma' must be non-negative"),
+    ("eval-no-sequences", cli.EXIT_CONFIG, "no sequence directories under"),
+    ("eval-not-p6", cli.EXIT_CONFIG, "not a binary PPM file"),
+    ("eval-maxval-65535", cli.EXIT_CONFIG, "only maxval 255 PPMs are supported"),
+    ("eval-version-2", cli.EXIT_CONFIG, "unsupported checkpoint version 2"),
+    ("eval-header-without-in-channels", cli.EXIT_CONFIG, "bad checkpoint header"),
     ("ablation-comma-arm", cli.EXIT_CONFIG, CSV_NAME),
     ("ablation-other-eval-pool", cli.EXIT_CONFIG,
      "eval_sequences = 3, arm first's is 1; the arms must share seed and eval pool"),
@@ -417,7 +451,8 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
         return ["ablation", "--arms", *map(str, arms), "--out", str(out)] + seeds
     flag = "--spec" if command == "synth" else "--config"
     extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
-    sequence = what in ANNOTATION_LINES or what == "comma-sequence"
+    sequence = (what in ANNOTATION_LINES or what in DAMAGED_FRAMES
+                or what in ("comma-sequence", "no-sequences"))
     if what in DAMAGED_CHECKPOINTS or sequence:
         damage, ckpt = DAMAGED_CHECKPOINTS.get(what), tmp_path / "input.bin"
         cfg = configio.from_kv(pipeline.TrainConfig, configio.parse_kv(TINY_CONFIG))
@@ -442,6 +477,8 @@ def exit_case_argv(tmp_path, case: str) -> list[str]:
             lines = ann.read_text().split("\n")
             lines[int(line.split()[0])] = line
             ann.write_text("\n".join(lines))
+        if what in DAMAGED_FRAMES:
+            (tmp_path / DAMAGED_FRAME).write_bytes(DAMAGED_FRAMES[what])
         extra += ["--seqs", str(tmp_path / ANNOTATIONS.parts[0])]
     return [command, flag, str(path), "--out", str(out)] + extra
 
@@ -458,6 +495,7 @@ def test_exit_codes(tmp_path, capsys, case, code, text):
         what = case.split("-", 1)[1]
         named = ("input.bin" if what in DAMAGED_CHECKPOINTS
                  else ANNOTATIONS if what in ANNOTATION_LINES
+                 else DAMAGED_FRAME if what in DAMAGED_FRAMES
                  else COMMA_NAMES.get(what, "input.cfg"))
         assert str(tmp_path / named) in errors[0], "the error names the input file"
     if code == cli.EXIT_DIVERGED:  # ablation's diverging arm is the second, input
@@ -469,13 +507,14 @@ def test_exit_codes(tmp_path, capsys, case, code, text):
 # two arms whose file seeds differ, which --seed overrides
 ARM_TEXTS = {"plain": TINY_CONFIG + "seed = 3\n",
              "cr_igr": TINY_CONFIG + "seed = 5\nrank_cls = true\nrank_iou = true\n"}
-RUN_FILES = ("checkpoint.bin", "runlog.csv", "metrics.csv", "success.csv", "precision.csv")
+RUN_FILES = ("manifest.txt", "checkpoint.bin", "runlog.csv", "metrics.csv", "success.csv",
+             "precision.csv")
 
 
 def test_ablation_is_train_then_eval_per_arm_and_seed(tmp_path, monkeypatch):
     """Each OUT/<arm>/seed<s>/ holds the files that `train --seed s` and then
-    `eval` of the arm's config write, with their bytes (the manifest's but its
-    out_dir line), and ablation.csv holds each run's aggregate, seed-major."""
+    `eval` of the arm's config write, with their bytes, and ablation.csv holds
+    each run's aggregate, seed-major."""
     monkeypatch.chdir(tmp_path)
     for name, text in ARM_TEXTS.items():
         Path(f"{name}.cfg").write_text(text.replace("iterations = 3", "iterations = 2"))
@@ -493,10 +532,63 @@ def test_ablation_is_train_then_eval_per_arm_and_seed(tmp_path, monkeypatch):
         assert sorted(p.name for p in run.iterdir()) == sorted(p.name for p in ref.iterdir())
         for f in RUN_FILES:
             assert (run / f).read_bytes() == (ref / f).read_bytes(), (name, seed, f)
-        manifests = [(d / "manifest.txt").read_text().replace(f"out_dir = {d}\n", "")
-                     for d in (run, ref)]
-        assert manifests[0] == manifests[1] and f"seed = {seed}\n" in manifests[0]
+        assert f"seed = {seed}\n" in (run / "manifest.txt").read_text()
         assert row[5:] == (run / "metrics.csv").read_text().splitlines()[-1].split(",")[1:]
+
+
+def test_a_run_directory_holds_one_run(tmp_path, capsys):
+    """`train` first removes the files that an earlier run or its evaluation
+    left in its directory, and no other file: a good run leaves no diverged
+    run's snapshot behind, a diverged run no good run's checkpoint, and a
+    re-run rewrites the same bytes."""
+    good, bad, run = tmp_path / "good.cfg", tmp_path / "bad.cfg", tmp_path / "run"
+    good.write_text(TINY_CONFIG)
+    bad.write_text(CASE_TEXTS["diverges"])
+    run.mkdir()
+    (run / "notes.txt").write_text("kept\n")
+
+    def train(cfg: Path) -> int:
+        return cli.main(["train", "--config", str(cfg), "--out", str(run)])
+
+    def files() -> dict[str, bytes]:
+        return {p.name: p.read_bytes() for p in run.iterdir()}
+
+    assert train(bad) == cli.EXIT_DIVERGED
+    assert train(good) == cli.EXIT_OK
+    first = files()
+    assert sorted(first) == ["checkpoint.bin", "manifest.txt", "notes.txt", "runlog.csv"]
+    assert cli.main(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--config", str(good),
+                     "--out", str(run)]) == cli.EXIT_OK
+    assert train(good) == cli.EXIT_OK
+    assert files() == first
+    assert train(bad) == cli.EXIT_DIVERGED
+    assert sorted(files()) == ["divergence.txt", "notes.txt"]
+
+
+def test_an_ablation_run_directory_holds_one_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("plain.cfg").write_text(TINY_CONFIG)
+    run = Path("abl") / "plain" / "seed7"
+    run.mkdir(parents=True)
+    (run / "divergence.txt").write_text("an earlier run diverged\n")
+    assert cli.main(["ablation", "--arms", "plain.cfg", "--out", "abl"]) == cli.EXIT_OK
+    assert sorted(p.name for p in run.iterdir()) == sorted(RUN_FILES)
+
+
+@pytest.mark.parametrize("worst,code", [(2e-4, cli.EXIT_OK), (2e-3, cli.EXIT_VERIFY)])
+def test_gradcheck_prints_each_check_and_fails_on_one_above_its_tolerance(
+        monkeypatch, capsys, worst, code):
+    checks = [("softmax", 1e-9, 1e-4), ("end_to_end_total", worst, 1e-3)]
+    monkeypatch.setattr(gradcheck, "run_suite", lambda rng: checks)
+    assert cli.main(["gradcheck"]) == code
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["softmax", "end_to_end_total"]
+    assert lines[1].endswith("ok" if code == cli.EXIT_OK else "FAIL")
+    if code == cli.EXIT_OK:
+        assert err == ""
+    else:
+        _only_error_line(err, "gradient check failed for: end_to_end_total")
 
 
 def test_train_reads_its_config_once(tmp_path, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 
 from ranktrack import numerics as nm
 from ranktrack.correlation import _attention_weights, dw_corr, pw_corr
-from ranktrack.numerics import Tensor, finite_diff_check
+from ranktrack.gradcheck import finite_diff_check
+from ranktrack.numerics import Tensor
 
 import reference_ops as refops
 from test_numerics import reference_conv2d

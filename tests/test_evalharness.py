@@ -303,8 +303,9 @@ def test_tau_reads_the_pairs_the_loss_ranks(monkeypatch):
 
 @pytest.mark.parametrize("sizes", [(64, 128, "dw"), (127, 255, "pw")])
 def test_the_label_map_marks_the_inside_of_the_target_box(monkeypatch, sizes):
-    # rank consistency and the distractor margin read the label map's
-    # non-negative cells as the target; they are the cells in its box
+    # rank consistency and the distractor margin read the non-negative
+    # cells of a label map as the target or a distractor; they are the
+    # cells in its box
     template_size, search_size, corr_mode = sizes
     cfg = quick_config(template_size=template_size, search_size=search_size,
                        corr_mode=corr_mode)
@@ -320,7 +321,8 @@ def test_the_label_map_marks_the_inside_of_the_target_box(monkeypatch, sizes):
     monkeypatch.setattr(evalharness, "assign_labels", spy)
     seqs = pipeline.eval_pool(cfg)
     evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)), seqs, cfg)
-    assert len(scored) == sum(len(seq) for seq in seqs) and all(scored)
+    calls = sum(len(seq) + sum(map(len, seq.distractor_boxes)) for seq in seqs)
+    assert len(scored) == calls and all(scored)
 
 
 def test_evaluate_embeds_each_template_once(monkeypatch):

@@ -15,7 +15,8 @@ from ranktrack.geometry import (
     iou,
     iou_tensor,
 )
-from ranktrack.numerics import Tensor, backward, finite_diff_check
+from ranktrack.gradcheck import finite_diff_check
+from ranktrack.numerics import Tensor, backward
 
 boxes = st.builds(
     lambda x, y, w, h: Box(x, y, x + w, y + h),

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ranktrack import numerics as nm
-from ranktrack.numerics import NonFiniteError, Tensor, backward, finite_diff_check
+from ranktrack.gradcheck import finite_diff_check
+from ranktrack.numerics import NonFiniteError, Tensor, backward
 
 import reference_ops as refops
 

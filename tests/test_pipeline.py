@@ -217,6 +217,17 @@ class TestImageLoss:
         assert [n.data.shape for n in nodes.values() if n._op == "softmax"] == \
             [(out.plan.hard_idx.size,)]
 
+    def test_rank_iou_ori_is_the_ori_loss_of_the_rank_batch(self):
+        cfg, mp, t, s, gt_s = self.setup_model(rank_iou_ori=True)
+        grid = head_grid(cfg)
+        out, _ = image_loss(cfg, mp, t, s, gt_s, grid)
+        a_cls, a_loc = forward(mp, t, s)
+        batch = pipeline.rank_batch(grid, assign_labels(grid, gt_s),
+                                    losses.foreground_probs(losses.class_log_probs(a_cls)),
+                                    nm.reshape(a_loc, (4, -1)), gt_s)
+        want = losses.rank_iou_loss_ori(batch, cfg.ori_alpha)
+        assert want.item() > 0.0 and out.rank_iou.data.tobytes() == want.data.tobytes()
+
     def test_second_stage_cells_are_the_cr_hard_set(self, monkeypatch):
         cfg, mp, t, s, gt_s = self.setup_model(two_stage_ce=True, rank_cls=True, tau_neg=0.499)
         seen = {}

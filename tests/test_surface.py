@@ -14,6 +14,8 @@ Every defaulted parameter of a ``ranktrack`` function, a dataclass's
 defaulted fields included, must be passed by some call in the program, or
 the default is a constant in disguise; and left out by some call in the
 program, or the default serves only tests.
+
+Every name that a ``ranktrack`` module imports must be read in that module.
 """
 
 import ast
@@ -92,6 +94,18 @@ def test_every_public_definition_is_used_by_the_program():
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                    and not node.name.startswith("_") and (module, node.name) not in reads]
     assert not unused, f"defined but never read by src/ or bench/: {unused}"
+
+
+def test_every_import_is_read_by_its_module():
+    unread = []
+    for path in sorted((ROOT / "src" / "ranktrack").glob("*.py")):
+        names = {name for _, name in _reads(path)}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and getattr(node, "module", None) != "__future__":
+                unread += [f"ranktrack.{path.stem}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in names]
+    assert not unread, f"imported but never read: {unread}"
 
 
 def _field_defaults(cls: ast.ClassDef) -> list[tuple[str, str, int]]:

@@ -345,7 +345,7 @@ class TestExportImport:
         loaded = import_sequence(str(out))
 
         assert len(loaded) == len(seq)
-        assert loaded.spec == spec
+        assert loaded.spec is None
         for a, b in zip(loaded.gt, seq.gt):
             assert a == b
         for t in range(len(seq)):
