@@ -151,24 +151,55 @@ def evaluate(mp: pipeline.ModelParams, seqs: list[synthdata.Sequence],
     Tracking and scoring run on a copy of the parameters that does not
     require gradients, so no op records a graph and every intermediate
     array is freed once the next op has read it; ``mp`` is not touched.
+
+    A sequence is one unit of work: its template is embedded once, then it
+    is tracked and scored with the i-th child of the jitter stream, so its
+    metrics are a function of the model, the sequence and its index i. It
+    runs on process i mod W, W = min(len(seqs), usable CPUs): this one and
+    W - 1 ``pipeline.fork_workers``, which inherit the parameter copy and
+    the sequences and send back metrics and boxes. The report is assembled
+    in sequence order, so W changes no byte of it. When sequences raise,
+    the exception of the lowest failing index is raised, as in one process.
     """
     mp = replace(mp, params={name: nm.Tensor(t.data) for name, t in mp.leaves()})
     jitter_master = SplitMix64(cfg.eval_seed).spawn(pipeline._DOM_JITTER)
-    per_seq, predictions = [], []
-    for i, seq in enumerate(seqs):
-        template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
-        preds = pipeline.track(mp, template, seq, cfg)
-        predictions.append(preds)
-        cons, margin, tau = _scoring_pass(mp, template, seq, cfg, jitter_master.spawn(i))
-        per_seq.append(SequenceMetrics(
-            name=names[i] if names else f"seq{i:03d}",
-            success_auc=success_auc(preds, seq.gt),
-            dp20=dp_at(preds, seq.gt, 20.0),
-            rank_consistency=cons,
-            distractor_margin=margin,
-            kendall_tau=tau,
-        ))
-    return MetricReport(per_sequence=per_seq, predictions=predictions)
+
+    def run(indices) -> list[tuple]:
+        """(i, (metrics, boxes)) for each sequence i of ``indices`` in turn,
+        ending at (i, exception) for the first that raises."""
+        done = []
+        for i in indices:
+            seq = seqs[i]
+            try:
+                template = pipeline.embed(mp, synthdata.crop_template(seq, cfg.template_size))
+                preds = pipeline.track(mp, template, seq, cfg)
+                cons, margin, tau = _scoring_pass(mp, template, seq, cfg, jitter_master.spawn(i))
+            except Exception as e:
+                return done + [(i, e)]
+            done.append((i, (SequenceMetrics(
+                name=names[i] if names else f"seq{i:03d}",
+                success_auc=success_auc(preds, seq.gt),
+                dp20=dp_at(preds, seq.gt, 20.0),
+                rank_consistency=cons,
+                distractor_margin=margin,
+                kendall_tau=tau,
+            ), preds)))
+        return done
+
+    n_procs = max(1, min(len(seqs), pipeline._usable_cpus()))
+    with pipeline.fork_workers(n_procs - 1, run, "evaluation") as workers:
+        for j, w in enumerate(workers, start=1):
+            w.send(range(j, len(seqs), n_procs))
+        done = run(range(0, len(seqs), n_procs))
+        for w in workers:
+            done += w.recv()
+    done.sort(key=lambda d: d[0])
+    # a process stops at its first failure, so every index below the lowest is done
+    for _, outcome in done:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return MetricReport(per_sequence=[m for _, (m, _) in done],
+                        predictions=[preds for _, (_, preds) in done])
 
 
 # -- CSV emission -------------------------------------------------------------------

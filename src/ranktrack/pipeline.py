@@ -14,6 +14,7 @@ a run is reproducible bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
 import multiprocessing
@@ -417,34 +418,90 @@ def _run_slots(cfg: TrainConfig, mp: ModelParams, pool: list[synthdata.Sequence]
     return done, None
 
 
-def _worker(conn, parent_ends: list, cfg: TrainConfig, mp: ModelParams,
-            pool: list[synthdata.Sequence], templates: list[np.ndarray], grid: HeadGrid) -> None:
-    """A forked training worker. For each message (the parameter arrays, the
-    scale and its slots) it replies with ``_run_slots``' result. It exits
-    when the pipe reaches EOF and leaves SIGINT to the parent."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)   # blocked until now, see train
+def _worker(conn, parent_ends: list, serve) -> None:
+    """A forked worker. It answers each message on ``conn``, a tuple of
+    arguments, with ``serve``'s result on them, exits when the pipe reaches
+    EOF and leaves SIGINT to the parent."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # blocked until now, see fork_workers
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
     for end in parent_ends:   # or a closed parent end would not reach EOF here
         end.close()
-    leaves = [t for _, t in mp.leaves()]
     while True:
         try:
-            arrays, scale, slots = conn.recv()
+            message = conn.recv()
         except EOFError:
             return
-        for t, data in zip(leaves, arrays):
-            t.data = data
-        done, failure = _run_slots(cfg, mp, pool, templates, grid, scale, slots)
         try:
-            conn.send((done, failure))
+            conn.send(serve(*message))
         except OSError:       # the parent has gone
             return
 
 
-def _worker_died(proc) -> RuntimeError:
-    proc.join(timeout=5.0)
-    return RuntimeError(f"a training worker (pid {proc.pid}) died in the middle of training, "
-                        f"exit code {proc.exitcode}")
+@dataclass
+class _Worker:
+    """A worker of ``fork_workers``: its process and this process's end of its pipe."""
+
+    proc: multiprocessing.Process
+    conn: object
+    job: str
+
+    def send(self, *args) -> None:
+        """Ask the worker for its ``serve(*args)``."""
+        try:
+            self.conn.send(args)
+        except OSError:
+            raise self._died() from None
+
+    def recv(self):
+        """The answer to the oldest message not yet answered."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            raise self._died() from None
+
+    def _died(self) -> RuntimeError:
+        self.proc.join(timeout=5.0)
+        return RuntimeError(f"the {self.job} worker (pid {self.proc.pid}) died in the middle of "
+                            f"{self.job}, exit code {self.proc.exitcode}")
+
+
+@contextlib.contextmanager
+def fork_workers(count: int, serve, job: str):
+    """Fork ``count`` workers of ``job`` (a noun for error messages), each
+    answering messages with ``serve``, and yield them as ``_Worker``s.
+
+    Fork once the state that ``serve`` reads is built: the workers inherit
+    it, so only messages and answers cross the pipes. SIGINT is blocked
+    across each fork, so an interrupt cannot reach a worker before it
+    ignores SIGINT. A worker that dies raises RuntimeError naming its pid.
+    Any exception terminates the workers; on every path each pipe is closed
+    and each worker joined before the ``with`` block is left.
+    """
+    workers: list[_Worker] = []
+    try:
+        ctx = multiprocessing.get_context("fork") if count else None
+        ends: list = []
+        for _ in range(count):
+            here, there = ctx.Pipe()
+            ends.append(here)
+            proc = ctx.Process(target=_worker, args=(there, ends, serve))
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                proc.start()
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            there.close()
+            workers.append(_Worker(proc, here, job))
+        yield workers
+    except BaseException:
+        for w in workers:
+            w.proc.terminate()
+        raise
+    finally:
+        for w in workers:
+            w.conn.close()
+            w.proc.join()
+            w.proc.close()
 
 
 def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> TrainResult:
@@ -462,9 +519,9 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
     step follows.
 
     The samples run on W = min(``batch_size``, usable CPUs) processes: this
-    one takes slots 0, W, 2W, ... and W - 1 workers, forked once per call
-    after the pool and the templates are built, take the others. They
-    inherit the pool and the templates; each iteration sends them the
+    one takes slots 0, W, 2W, ... and W - 1 ``fork_workers``, forked once
+    per call after the pool and the templates are built, take the others.
+    They inherit the pool and the templates; each iteration sends them the
     parameter arrays and their draws, and they send back their loss terms
     and gradient contributions. With one usable CPU there are no workers.
     The worker count changes no bit of the result. Every worker is joined
@@ -495,25 +552,13 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
     log: list[LogRow] = []
     last_row: LogRow | None = None
 
-    n_procs = min(cfg.batch_size, _usable_cpus())
-    workers: list = []   # (process, pipe end) of each worker
-    try:
-        ctx = multiprocessing.get_context("fork") if n_procs > 1 else None
-        ends: list = []
-        for _ in range(n_procs - 1):
-            here, there = ctx.Pipe()
-            ends.append(here)
-            proc = ctx.Process(target=_worker, args=(there, ends, cfg, mp, pool, templates, grid))
-            # the worker starts with SIGINT blocked, so an interrupt cannot
-            # reach it before it ignores SIGINT
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                proc.start()
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            there.close()
-            workers.append((proc, here))
+    def serve(arrays, scale, slots):   # in a worker: its slots on this iteration's parameters
+        for t, data in zip(leaves, arrays):
+            t.data = data
+        return _run_slots(cfg, mp, pool, templates, grid, scale, slots)
 
+    n_procs = min(cfg.batch_size, _usable_cpus())
+    with fork_workers(n_procs - 1, serve, "training") as workers:
         for it in range(cfg.iterations):
             batch = _draw_batch(cfg, pool, sampler, grid)
             if not batch:
@@ -521,23 +566,14 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
                                       _snapshot(mp, it, last_row))
             scale = 1.0 / len(batch)
             arrays = [t.data for t in leaves]
-            busy = []
-            for j, (proc, conn) in enumerate(workers, start=1):
-                if j < len(batch):
-                    try:
-                        conn.send((arrays, scale, [(s, batch[s])
-                                                   for s in range(j, len(batch), n_procs)]))
-                    except OSError:
-                        raise _worker_died(proc) from None
-                    busy.append((proc, conn))
+            busy = workers[:len(batch) - 1]
+            for j, w in enumerate(busy, start=1):
+                w.send(arrays, scale, [(s, batch[s]) for s in range(j, len(batch), n_procs)])
             done, failure = _run_slots(cfg, mp, pool, templates, grid, scale,
                                        [(s, batch[s]) for s in range(0, len(batch), n_procs)])
             failures = [failure] if failure else []
-            for proc, conn in busy:
-                try:
-                    theirs, failure = conn.recv()
-                except (EOFError, OSError):
-                    raise _worker_died(proc) from None
+            for w in busy:
+                theirs, failure = w.recv()
                 done += theirs
                 failures += [failure] if failure else []
             if failures:
@@ -570,15 +606,6 @@ def train(cfg: TrainConfig, pool: list[synthdata.Sequence] | None = None) -> Tra
                     raise DivergenceError(f"non-finite parameter {name!r} at iteration {it}",
                                           _snapshot(mp, it, last_row))
             mp.zero_grad()
-    except BaseException:
-        for proc, _ in workers:
-            proc.terminate()
-        raise
-    finally:
-        for proc, conn in workers:
-            conn.close()
-            proc.join()
-            proc.close()
 
     return TrainResult(params=mp, log=log, seconds=time.perf_counter() - t0)
 
@@ -617,9 +644,10 @@ def save_checkpoint(mp: ModelParams, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelParams:
-    """Read a ``save_checkpoint`` file. A damaged one, truncated, holding a
-    non-finite value, with bytes after its last tensor or with a size field
-    that asks for more bytes than the file has left, raises ValueError."""
+    """Read a ``save_checkpoint`` file. A damaged one, truncated, with a
+    header it cannot parse, holding a non-finite value, with bytes after its
+    last tensor or with a size field that asks for more bytes than the file
+    has left, raises ValueError naming ``path``."""
     with open(path, "rb") as disk:
         blob = disk.read()   # whole, so that the bytes left are known for a pipe too
     with io.BytesIO(blob) as f:
@@ -636,10 +664,15 @@ def load_checkpoint(path: str) -> ModelParams:
         (version,) = u32s()
         if version != _CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}: {path}")
-        header = dict(kv.split("=", 1) for kv in read(u32s()[0]).decode().split(";"))
-        if set(header) != {"corr_mode", "in_channels"}:
-            raise ValueError(f"bad checkpoint header: {path}")
-        mp = ModelParams(corr_mode=header["corr_mode"], in_channels=int(header["in_channels"]))
+        raw = read(u32s()[0])
+        try:   # undecodable bytes, a pair without '=', other keys or a non-integer count
+            header = dict(kv.split("=", 1) for kv in raw.decode().split(";"))
+            if set(header) != {"corr_mode", "in_channels"}:
+                raise ValueError
+            mp = ModelParams(corr_mode=header["corr_mode"],
+                             in_channels=int(header["in_channels"]))
+        except ValueError:
+            raise ValueError(f"bad checkpoint header: {path}") from None
         name = None
         for _ in range(u32s()[0]):
             name = read(u32s()[0]).decode()

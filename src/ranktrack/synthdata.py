@@ -327,7 +327,9 @@ def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
     The operation order is fixed for bit-identity: each output pixel is
     ((tl*(1-fx))*(1-fy)) + ((tr*fx)*(1-fy)) + ((bl*(1-fx))*fy) + ((br*fx)*fy),
     added left to right. Precombined or separable weights round
-    differently.
+    differently. Columns are weighted before rows are gathered, so a source
+    pixel's product with (1-fx) or fx is computed once and read by every
+    output row that reads it.
     """
     c, h, w = frame.shape
     xs = cx - side / 2.0 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
@@ -336,11 +338,6 @@ def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
     y0 = np.floor(ys).astype(int)
     fx = xs - x0
     fy = ys - y0
-
-    means = frame.reshape(c, -1).mean(axis=1)
-    padded = np.empty((c, h + 2, w + 2))
-    padded[:] = means[:, None, None]
-    padded[:, 1:h + 1, 1:w + 1] = frame
 
     x0c = np.clip(x0 + 1, 0, w + 1)
     x1c = np.clip(x0 + 2, 0, w + 1)
@@ -354,21 +351,26 @@ def crop_window(frame: np.ndarray, cx: float, cy: float, side: float,
     y0c[out_of_y] = 0
     y1c[out_of_y] = 0
 
-    # gather rows, then columns, into contiguous (C, out, out) corners
-    top = padded.take(y0c, axis=1)
-    bottom = padded.take(y1c, axis=1)
-    out = top.take(x0c, axis=2)
-    tr = top.take(x1c, axis=2)
-    bl = bottom.take(x0c, axis=2)
-    br = bottom.take(x1c, axis=2)
-    wx = np.tile(fx, (out_size, 1))
-    wy = np.repeat(fy[:, None], out_size, axis=1)
-    ux, uy = 1 - wx, 1 - wy
-    # in place, in the order of the docstring; tl's buffer becomes the output
-    out *= ux
+    # rows lo..hi - 1 of the frame padded by a ring of channel means, the
+    # rows the crop reads (y0c <= y1c wherever both are set)
+    lo, hi = int(y0c.min()), int(y1c.max()) + 1
+    slab = np.empty((c, hi - lo, w + 2))
+    slab[:] = frame.reshape(c, -1).mean(axis=1)[:, None, None]
+    r0, r1 = max(lo, 1), min(hi, h + 1)   # the slab rows that hold frame rows
+    slab[:, r0 - lo:r1 - lo, 1:w + 1] = frame[:, r0 - 1:r1 - 1]
+
+    # gather and weight columns once per slab row, then gather and weight
+    # rows; each corner keeps its two products, in the docstring's order
+    left = slab.take(x0c, axis=2)
+    left *= 1 - fx
+    right = slab.take(x1c, axis=2)
+    right *= fx
+    top, bottom = y0c - lo, y1c - lo
+    uy, wy = (1 - fy)[:, None], fy[:, None]
+    out = left.take(top, axis=1)
     out *= uy
-    for corner, wcol, wrow in ((tr, wx, uy), (bl, ux, wy), (br, wx, wy)):
-        corner *= wcol
+    for corner, wrow in ((right.take(top, axis=1), uy), (left.take(bottom, axis=1), wy),
+                         (right.take(bottom, axis=1), wy)):
         corner *= wrow
         out += corner
     return out

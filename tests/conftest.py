@@ -1,5 +1,6 @@
 import ctypes
 import glob
+import multiprocessing
 import os
 
 import numpy as np
@@ -63,6 +64,45 @@ def eval_argv(tmp_path, cfg: pipeline.TrainConfig, init_seed: int = 5) -> list[s
     pipeline.save_checkpoint(pipeline.init_params(cfg, SplitMix64(init_seed)), str(ckpt))
     return ["eval", "--checkpoint", str(ckpt), "--config", str(cfg_path),
             "--out", str(tmp_path / "out")]
+
+
+def use_processes(monkeypatch, n: int) -> None:
+    """Make ``train`` and ``evaluate`` see ``n`` usable CPUs, so they run
+    min(batch_size, n) and min(sequence count, n) processes."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+
+
+class SharedList:
+    """An append-only list of integers in shared memory, so that what forked
+    workers append reaches the process that made it."""
+
+    def __init__(self, capacity: int = 1 << 16):
+        ctx = multiprocessing.get_context("fork")
+        self._items = ctx.Array("q", capacity)
+        self._size = ctx.Value("l", 0, lock=False)
+
+    def append(self, value: int) -> None:
+        with self._items.get_lock():
+            self._items[self._size.value] = value
+            self._size.value += 1
+
+    def __len__(self) -> int:
+        return self._size.value
+
+    def __iter__(self):
+        return iter(self._items[:len(self)])
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_behind():
+    """Fail a test after which a child process of this one still runs: ``train``
+    and ``evaluate`` join their workers on every path."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert left == [], f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

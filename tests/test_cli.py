@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import struct
 from pathlib import Path
 
@@ -9,24 +10,62 @@ from ranktrack import cli, configio, gradcheck, pipeline, synthdata
 from ranktrack.numerics import Tensor
 from ranktrack.rng import SplitMix64
 
-from conftest import eval_argv, quick_config
+from conftest import SharedList, eval_argv, quick_config, use_processes
 
 
 def test_eval_tracks_each_sequence_once(tmp_path, monkeypatch):
-    calls = []
     track = pipeline.track
-
-    def counting_track(mp, template, seq, cfg):
-        calls.append(seq)
-        return track(mp, template, seq, cfg)
-
-    monkeypatch.setattr(pipeline, "track", counting_track)
     cfg = quick_config(eval_sequences=3, eval_frames=4)
-    assert cli.main(eval_argv(tmp_path, cfg)) == cli.EXIT_OK
-    assert len(calls) == cfg.eval_sequences
-    assert len({id(seq) for seq in calls}) == cfg.eval_sequences
-    for name in ("metrics.csv", "success.csv", "precision.csv"):
-        assert (tmp_path / "out" / name).stat().st_size > 0
+    for procs in (1, 2):
+        calls = SharedList()   # the id of each tracked sequence, in every process
+
+        def counting_track(mp, template, seq, cfg):
+            calls.append(id(seq))
+            return track(mp, template, seq, cfg)
+
+        monkeypatch.setattr(pipeline, "track", counting_track)
+        use_processes(monkeypatch, procs)
+        assert cli.main(eval_argv(tmp_path, cfg)) == cli.EXIT_OK
+        assert len(calls) == cfg.eval_sequences
+        assert len(set(calls)) == cfg.eval_sequences
+        for name in ("metrics.csv", "success.csv", "precision.csv"):
+            assert (tmp_path / "out" / name).stat().st_size > 0
+
+
+EVAL_FILES = ("metrics.csv", "success.csv", "precision.csv")
+
+
+@pytest.mark.parametrize("sizes", [(64, 128, "dw"), (127, 255, "pw")])
+def test_eval_files_do_not_depend_on_the_process_count(tmp_path, monkeypatch, capsys, sizes):
+    template_size, search_size, corr_mode = sizes
+    cfg = quick_config(template_size=template_size, search_size=search_size,
+                       corr_mode=corr_mode, eval_sequences=5, eval_frames=4)
+    argv = eval_argv(tmp_path, cfg)
+    outcomes = []
+    for procs in (1, 2, 4):
+        use_processes(monkeypatch, procs)
+        out = tmp_path / f"out{procs}"
+        assert cli.main(argv[:-1] + [str(out)]) == cli.EXIT_OK
+        assert multiprocessing.active_children() == []
+        outcomes.append((capsys.readouterr().out, [(out / f).read_bytes() for f in EVAL_FILES]))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+
+
+def test_overflowing_weights_exit_as_in_one_process(tmp_path, monkeypatch, capsys):
+    cfg = quick_config(eval_sequences=3, eval_frames=3)
+    argv = eval_argv(tmp_path, cfg)
+    mp = pipeline.init_params(cfg, SplitMix64(5))
+    mp.params["loc2_b"].data.reshape(-1)[1] = 1e3
+    pipeline.save_checkpoint(mp, argv[argv.index("--checkpoint") + 1])
+    outcomes = []
+    for procs in (1, 2):
+        use_processes(monkeypatch, procs)
+        outcomes.append((cli.main(argv), capsys.readouterr().err))
+        assert multiprocessing.active_children() == []
+    assert outcomes[1] == outcomes[0]
+    code, err = outcomes[0]
+    assert code == cli.EXIT_CONFIG
+    _only_error_line(err, "its weights overflow: exp produced a non-finite value")
 
 
 def _eval_exit(capsys, argv) -> tuple[int, str]:
@@ -328,6 +367,7 @@ CASE_TEXTS = {
 # bb1_w (16, 3, 2, 2), rewritten: a shape of 60000**4 values, beyond int64,
 # or 0xFFFFFFF0 dimensions; or its version or its header rewritten
 BB1_W_SIZES = b"bb1_w" + struct.pack("<5I", 4, 16, 3, 2, 2)
+HEADER = struct.pack("<I", 26) + b"corr_mode=dw;in_channels=3"
 DAMAGED_CHECKPOINTS = {
     "nan-weight": ("cls2_b", np.nan), "inf-weight": ("cls2_b", np.inf),
     "overflowing-weight": ("loc2_b", 1e3), "trailing-bytes": b"\0",
@@ -337,8 +377,13 @@ DAMAGED_CHECKPOINTS = {
         BB1_W_SIZES, b"bb1_w" + struct.pack("<5I", 0xFFFFFFF0, 16, 3, 2, 2), 1),
     "version-2": lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
     "header-without-in-channels": lambda data: data.replace(
-        struct.pack("<I", 26) + b"corr_mode=dw;in_channels=3",
-        struct.pack("<I", 12) + b"corr_mode=dw", 1),
+        HEADER, struct.pack("<I", 12) + b"corr_mode=dw", 1),
+    "header-in-channels-underscore": lambda data: data.replace(
+        HEADER, struct.pack("<I", 26) + b"corr_mode=dw;in_channels_3", 1),
+    "header-0xff": lambda data: data.replace(
+        HEADER, struct.pack("<I", 26) + b"corr_mode=dw;in_channels=\xff", 1),
+    "header-in-channels-x": lambda data: data.replace(
+        HEADER, struct.pack("<I", 26) + b"corr_mode=dw;in_channels=x", 1),
 }
 # `eval --seqs` reads one exported sequence whose target block has this line
 # in place of the line of the frame it names, in annotations.txt
@@ -413,6 +458,9 @@ EXIT_CASES = [(f"{c}-{k}", cli.EXIT_CONFIG, text) for c in ("synth", "train", "e
     ("eval-maxval-65535", cli.EXIT_CONFIG, "only maxval 255 PPMs are supported"),
     ("eval-version-2", cli.EXIT_CONFIG, "unsupported checkpoint version 2"),
     ("eval-header-without-in-channels", cli.EXIT_CONFIG, "bad checkpoint header"),
+    ("eval-header-in-channels-underscore", cli.EXIT_CONFIG, "bad checkpoint header"),
+    ("eval-header-0xff", cli.EXIT_CONFIG, "bad checkpoint header"),
+    ("eval-header-in-channels-x", cli.EXIT_CONFIG, "bad checkpoint header"),
     ("ablation-comma-arm", cli.EXIT_CONFIG, CSV_NAME),
     ("ablation-other-eval-pool", cli.EXIT_CONFIG,
      "eval_sequences = 3, arm first's is 1; the arms must share seed and eval pool"),
@@ -509,6 +557,22 @@ ARM_TEXTS = {"plain": TINY_CONFIG + "seed = 3\n",
              "cr_igr": TINY_CONFIG + "seed = 5\nrank_cls = true\nrank_iou = true\n"}
 RUN_FILES = ("manifest.txt", "checkpoint.bin", "runlog.csv", "metrics.csv", "success.csv",
              "precision.csv")
+
+
+def test_ablation_files_do_not_depend_on_the_process_count(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in ARM_TEXTS.items():
+        Path(f"{name}.cfg").write_text(text.replace("eval_sequences = 1", "eval_sequences = 3"))
+    trees = []
+    for procs in (1, 2):
+        use_processes(monkeypatch, procs)
+        out = Path(f"abl{procs}")
+        assert cli.main(["ablation", "--arms", "plain.cfg", "cr_igr.cfg", "--seed", "1",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert multiprocessing.active_children() == []
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 1 + 2 * len(RUN_FILES) and trees[1] == trees[0]
 
 
 def test_ablation_is_train_then_eval_per_arm_and_seed(tmp_path, monkeypatch):

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import signal
 import warnings
 
 import numpy as np
@@ -21,7 +24,7 @@ from ranktrack.evalharness import (
 from ranktrack.geometry import NEGATIVE, Box
 from ranktrack.rng import SplitMix64
 
-from conftest import quick_config
+from conftest import SharedList, quick_config, use_processes
 
 
 def shifted(b: Box, dx: float, dy: float = 0.0) -> Box:
@@ -217,20 +220,22 @@ def test_evaluate_records_no_graph_and_leaves_the_parameters_alone(monkeypatch):
     for _, t in mp.leaves():
         t.grad += 0.5
     before = {name: (t.data.tobytes(), t.grad.tobytes()) for name, t in mp.leaves()}
-    recorded = []
     real_from_op = nm._from_op
+    for procs in (1, 2):
+        recorded = SharedList()   # in every process
 
-    def counting_from_op(*args, **kwargs):
-        out = real_from_op(*args, **kwargs)
-        recorded.append(out.requires_grad)
-        return out
+        def counting_from_op(*args, **kwargs):
+            out = real_from_op(*args, **kwargs)
+            recorded.append(out.requires_grad)
+            return out
 
-    monkeypatch.setattr(nm, "_from_op", counting_from_op)
-    evalharness.evaluate(mp, pipeline.eval_pool(cfg), cfg)
-    assert recorded and not any(recorded), \
-        f"{sum(recorded)} of {len(recorded)} op outputs recorded a node"
-    after = {name: (t.data.tobytes(), t.grad.tobytes()) for name, t in mp.leaves()}
-    assert after == before and all(t.requires_grad for _, t in mp.leaves())
+        monkeypatch.setattr(nm, "_from_op", counting_from_op)
+        use_processes(monkeypatch, procs)
+        evalharness.evaluate(mp, pipeline.eval_pool(cfg), cfg)
+        assert recorded and not any(recorded), \
+            f"{sum(recorded)} of {len(recorded)} op outputs recorded a node"
+        after = {name: (t.data.tobytes(), t.grad.tobytes()) for name, t in mp.leaves()}
+        assert after == before and all(t.requires_grad for _, t in mp.leaves())
 
 
 def test_every_search_crop_keeps_the_template_scale_as_the_target_doubles(tmp_path,
@@ -310,32 +315,99 @@ def test_the_label_map_marks_the_inside_of_the_target_box(monkeypatch, sizes):
     cfg = quick_config(template_size=template_size, search_size=search_size,
                        corr_mode=corr_mode)
     px, py = pipeline.head_grid(cfg).pixel_xy()
-    scored = []
     assign_labels = evalharness.assign_labels
-
-    def spy(grid, gt_s):
-        labels = assign_labels(grid, gt_s)
-        scored.append(np.array_equal(labels.cls != NEGATIVE, gt_s.contains(px, py)))
-        return labels
-
-    monkeypatch.setattr(evalharness, "assign_labels", spy)
     seqs = pipeline.eval_pool(cfg)
-    evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)), seqs, cfg)
     calls = sum(len(seq) + sum(map(len, seq.distractor_boxes)) for seq in seqs)
-    assert len(scored) == calls and all(scored)
+    for procs in (1, 2):
+        scored = SharedList()   # in every process
+
+        def spy(grid, gt_s):
+            labels = assign_labels(grid, gt_s)
+            scored.append(np.array_equal(labels.cls != NEGATIVE, gt_s.contains(px, py)))
+            return labels
+
+        monkeypatch.setattr(evalharness, "assign_labels", spy)
+        use_processes(monkeypatch, procs)
+        evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)), seqs, cfg)
+        assert len(scored) == calls and all(scored)
 
 
 def test_evaluate_embeds_each_template_once(monkeypatch):
     cfg = quick_config(eval_sequences=3, eval_frames=4)
-    sizes = []
     embed = pipeline.embed
+    for procs in (1, 2):
+        embedded = SharedList()   # in every process
 
-    def spy(mp, raster):
-        sizes.append(raster.shape[-1])
-        return embed(mp, raster)
+        def spy(mp, raster):
+            embedded.append(raster.shape[-1])
+            return embed(mp, raster)
 
-    monkeypatch.setattr(pipeline, "embed", spy)
-    evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)), pipeline.eval_pool(cfg), cfg)
-    assert sizes.count(cfg.template_size) == cfg.eval_sequences
-    assert sizes.count(cfg.search_size) == 2 * cfg.eval_sequences * cfg.eval_frames \
-        - cfg.eval_sequences
+        monkeypatch.setattr(pipeline, "embed", spy)
+        use_processes(monkeypatch, procs)
+        evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)), pipeline.eval_pool(cfg),
+                             cfg)
+        sizes = list(embedded)
+        assert sizes.count(cfg.template_size) == cfg.eval_sequences
+        assert sizes.count(cfg.search_size) == 2 * cfg.eval_sequences * cfg.eval_frames \
+            - cfg.eval_sequences
+
+
+class TestWorkers:
+    """``evaluate`` deals whole sequences to min(sequence count, usable CPUs)
+    processes and gives the report of one process."""
+
+    @staticmethod
+    def failing_track(seqs: list, texts: dict[int, str]):
+        """A ``pipeline.track`` that raises NonFiniteError with the given text
+        on the sequences of ``seqs`` at the given indices."""
+        track = pipeline.track
+        index = {id(seq): i for i, seq in enumerate(seqs)}
+
+        def failing(mp, template, seq, cfg):
+            if index[id(seq)] in texts:
+                raise nm.NonFiniteError(texts[index[id(seq)]])
+            return track(mp, template, seq, cfg)
+        return failing
+
+    # at 2 processes sequences 0 and 2 run here and 1 on the worker; at 3
+    # each of the two workers takes one
+    @pytest.mark.parametrize("texts, first", [({1: "in 1"}, 1), ({1: "in 1", 2: "in 2"}, 1),
+                                              ({0: "in 0", 1: "in 1"}, 0), ({2: "in 2"}, 2)])
+    def test_a_failing_sequence_raises_as_in_one_process(self, monkeypatch, texts, first):
+        cfg = quick_config(eval_sequences=3, eval_frames=3)
+        seqs = pipeline.eval_pool(cfg)
+        mp = pipeline.init_params(cfg, SplitMix64(5))
+        monkeypatch.setattr(pipeline, "track", self.failing_track(seqs, texts))
+        for procs in (1, 2, 3):
+            use_processes(monkeypatch, procs)
+            with pytest.raises(nm.NonFiniteError) as raised:
+                evalharness.evaluate(mp, seqs, cfg)
+            assert str(raised.value) == texts[first], procs
+            assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises(self, monkeypatch):
+        parent = os.getpid()
+        track = pipeline.track
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return track(*args)
+
+        def timeout(signum, frame):
+            raise TimeoutError("evaluate did not notice its dead worker")
+
+        cfg = quick_config(eval_sequences=2, eval_frames=3)
+        monkeypatch.setattr(pipeline, "track", dying)
+        use_processes(monkeypatch, 2)
+        old = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match=r"evaluation worker \(pid \d+\) died .*"
+                                                   r"exit code -9"):
+                evalharness.evaluate(pipeline.init_params(cfg, SplitMix64(5)),
+                                     pipeline.eval_pool(cfg), cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        assert multiprocessing.active_children() == []

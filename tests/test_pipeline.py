@@ -34,7 +34,7 @@ from ranktrack.pipeline import (
 )
 from ranktrack.rng import SplitMix64
 
-from conftest import quick_config
+from conftest import quick_config, use_processes
 
 
 PAPER_PRESET = dict(template_size=127, search_size=255, corr_mode="pw")
@@ -321,12 +321,6 @@ class TestImageLoss:
         while first._parents[0] is not None:
             first = first._parents[0]
         assert first._op == "conv2d" and first._parents[1] is mp.params["bb1_w"]
-
-
-def use_processes(monkeypatch, n: int) -> None:
-    """Make ``train`` see ``n`` usable CPUs, so it runs min(batch_size, n)
-    processes."""
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
 
 
 class TestTrainLoop:

@@ -203,9 +203,8 @@ class TestShapeWindow:
 
 
 def reference_crop_window(frame, cx, cy, side, out_size):
-    """``crop_window`` as written before the row-then-column gather: four
-    2-D fancy-index gathers and broadcast weights. The fast path must give
-    the same bytes."""
+    """``crop_window`` as four 2-D fancy-index gathers from the whole padded
+    frame and broadcast weights. The fast path must give the same bytes."""
     c, h, w = frame.shape
     xs = cx - side / 2.0 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
     ys = cy - side / 2.0 + (np.arange(out_size) + 0.5) * (side / out_size) - 0.5
